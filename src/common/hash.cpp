@@ -48,10 +48,10 @@ struct Crc32Table {
 
 }  // namespace
 
-std::uint32_t crc32(const void* data, std::size_t size) {
+std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t crc) {
   static const Crc32Table table;
   const auto* p = static_cast<const unsigned char*>(data);
-  std::uint32_t c = 0xffffffffU;
+  std::uint32_t c = crc ^ 0xffffffffU;
   for (std::size_t i = 0; i < size; ++i) {
     c = table.entries[(c ^ p[i]) & 0xffU] ^ (c >> 8);
   }

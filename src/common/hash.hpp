@@ -24,7 +24,9 @@ namespace dataflasks {
                                            std::uint32_t buckets);
 
 /// CRC-32 (IEEE 802.3 polynomial). Used by the log-structured store to
-/// detect torn/corrupt records during recovery.
-[[nodiscard]] std::uint32_t crc32(const void* data, std::size_t size);
+/// detect torn/corrupt records during recovery. Chains like zlib's:
+/// crc32(b, crc32(a)) == crc32(a ++ b), so a stream can be summed in chunks.
+[[nodiscard]] std::uint32_t crc32(const void* data, std::size_t size,
+                                  std::uint32_t crc = 0);
 
 }  // namespace dataflasks

@@ -107,6 +107,9 @@ class Writer {
 
   [[nodiscard]] std::size_t size() const { return size_; }
 
+  /// Forgets the encoded bytes but keeps the buffer, for chunked streaming.
+  void clear() { size_ = 0; }
+
  private:
   void append(const void* data, std::size_t n) {
     if (n == 0) return;

@@ -206,6 +206,9 @@ void Node::start_timers() {
     timers_.push_back(runtime_.schedule_periodic(
         jitter(options_.compact_period), options_.compact_period,
         [this]() {
+          // A durable store only captures here; its snapshot is written off
+          // this loop, so what comes back is what earlier writes reclaimed
+          // (or the error one of them hit).
           const auto reclaimed = store_->compact_storage();
           if (!reclaimed.ok()) {
             // Compaction failure is not fatal (the live log keeps working);

@@ -1,6 +1,8 @@
 #include "net/stream/stream_connection.hpp"
 
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -12,6 +14,17 @@ namespace dataflasks::net {
 
 namespace {
 constexpr std::size_t kReadChunk = 64 * 1024;
+/// Egress entries gathered into one sendmsg: 32 frames' headers + payloads.
+constexpr std::size_t kMaxIov = 64;
+
+/// Frames are whole messages the peer is waiting on: Nagle would hold a
+/// frame's tail behind the peer's delayed ACK (a timer-sized stall per
+/// round trip), and flush() already coalesces everything queued into one
+/// gathered write, so there is nothing left for Nagle to merge.
+void set_nodelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
 
 void bump(std::atomic<std::uint64_t>& counter, std::uint64_t by = 1) {
   counter.fetch_add(by, std::memory_order_relaxed);
@@ -30,6 +43,7 @@ StreamConnection::StreamConnection(runtime::RealTimeRuntime& rt,
                                    const Limits& limits, int fd)
     : rt_(rt), events_(events), stats_(stats), limits_(limits), fd_(fd) {
   ensure(fd_ >= 0, "StreamConnection: bad accepted fd");
+  set_nodelay(fd_);
   state_ = State::kOpen;
   ever_open_ = true;
   last_activity_ = rt_.now();
@@ -51,6 +65,7 @@ StreamConnection::StreamConnection(runtime::RealTimeRuntime& rt,
     state_ = State::kClosed;  // owner observes via closed(), no callback
     return;
   }
+  set_nodelay(fd_);
   const int rc = ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
                            sizeof(addr));
   if (rc == 0) {
@@ -139,18 +154,36 @@ void StreamConnection::enqueue(Payload bytes) {
 
 void StreamConnection::flush() {
   while (!egress_.empty()) {
-    const Payload& head = egress_.front();
-    const std::size_t left = head.size() - head_offset_;
+    // One gathered write for everything queued (a frame is a header entry
+    // plus a payload view): the socket sees whole frames at once instead
+    // of a 26-byte header segment followed by its body.
+    iovec iov[kMaxIov];
+    std::size_t count = 0;
+    for (auto it = egress_.begin(); it != egress_.end() && count < kMaxIov;
+         ++it, ++count) {
+      const std::size_t skip = count == 0 ? head_offset_ : 0;
+      iov[count].iov_base = const_cast<std::uint8_t*>(it->data() + skip);
+      iov[count].iov_len = it->size() - skip;
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
     // MSG_NOSIGNAL: a peer that closed mid-write must surface as EPIPE,
     // not kill the process.
-    const ssize_t n = ::send(fd_, head.data() + head_offset_, left,
-                             MSG_NOSIGNAL);
+    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (n > 0) {
       bump(stats_.bytes_out, static_cast<std::uint64_t>(n));
       egress_bytes_ -= static_cast<std::size_t>(n);
-      head_offset_ += static_cast<std::size_t>(n);
       last_activity_ = rt_.now();
-      if (head_offset_ == head.size()) {
+      // Retire fully written entries; a partial one keeps its offset.
+      std::size_t left = static_cast<std::size_t>(n);
+      while (left > 0) {
+        const std::size_t rest = egress_.front().size() - head_offset_;
+        if (left < rest) {
+          head_offset_ += left;
+          break;
+        }
+        left -= rest;
         egress_.pop_front();
         head_offset_ = 0;
       }

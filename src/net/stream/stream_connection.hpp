@@ -5,7 +5,8 @@
 // message's existing buffer, never a copy into a contiguous frame.
 //
 // Nonblocking throughout: dials resolve via POLLOUT + SO_ERROR, reads drain
-// until EAGAIN, and writes flush as far as the socket accepts, parking the
+// until EAGAIN, and writes flush as far as the socket accepts — one gathered
+// sendmsg over the queued views, on a TCP_NODELAY socket — parking the
 // remainder behind a writable watch. Backpressure is a hard bound: when the
 // egress queue would exceed its byte budget the connection closes (the
 // DualTransport falls back to UDP or drops, exactly like a congested

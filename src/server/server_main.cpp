@@ -311,10 +311,12 @@ int main(int argc, char** argv) {
       std::size_t tail_bytes = 0;
       double oldest_age = 0.0;
       std::uint64_t generation = 0;
+      std::uint64_t skipped = 0;
       for (const store::StorageEngine* engine : engines) {
         tail_bytes += engine->journal_bytes();
         oldest_age = std::max(oldest_age, engine->snapshot_age_seconds());
         generation = std::max(generation, engine->generation());
+        skipped += engine->checkpoints_skipped();
       }
       registry
           .gauge("df_store_journal_tail_bytes", "",
@@ -328,6 +330,11 @@ int main(int argc, char** argv) {
           .gauge("df_store_generation", "",
                  "Current snapshot/journal generation (newest partition)")
           .set(static_cast<double>(generation));
+      registry
+          .counter("df_store_checkpoints_skipped_total", "",
+                   "Checkpoint ticks skipped while a snapshot write was "
+                   "still in flight")
+          .set(skipped);
     }
     const server::ShardGroup::Totals totals = group.totals();
     registry.counter("df_transport_sent_total", "", "Datagrams sent")

@@ -1,6 +1,7 @@
 #include "store/sharded_store.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/ensure.hpp"
@@ -183,13 +184,21 @@ ReapStats ShardedStore::reap(SimTime now, std::size_t max_bytes) {
 }
 
 Result<std::size_t> ShardedStore::compact_storage() {
+  // Each partition captures under its own lock; durable partitions write
+  // their snapshots off-lock on the background writer. One failing
+  // partition does not stop the others from checkpointing.
   std::size_t reclaimed = 0;
+  std::optional<Error> failure;
   for (auto& p : partitions_) {
     std::lock_guard<std::mutex> lock(p->mutex);
     auto part = p->store->compact_storage();
-    if (!part.ok()) return part.error();
-    reclaimed += part.value();
+    if (part.ok()) {
+      reclaimed += part.value();
+    } else if (!failure.has_value()) {
+      failure = part.error();
+    }
   }
+  if (failure.has_value()) return *failure;
   return reclaimed;
 }
 

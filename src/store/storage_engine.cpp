@@ -1,11 +1,14 @@
 #include "store/storage_engine.hpp"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <system_error>
+#include <utility>
 
 #include "common/hash.hpp"
 #include "common/serialize.hpp"
@@ -26,6 +29,9 @@ constexpr std::uint32_t kSnapMagic = 0xDF54AB1E;
 // u32 magic | u64 seq | u64 object_count | u64 body_len | u32 body_crc
 constexpr std::size_t kSnapHeaderSize =
     sizeof(std::uint32_t) + 3 * sizeof(std::uint64_t) + sizeof(std::uint32_t);
+// Snapshot bodies stream through one buffer of about this size (a single
+// larger object stretches it once), never a second serialized copy.
+constexpr std::size_t kSnapChunk = 256 * 1024;
 
 /// Parses the numeric suffix of "<prefix><digits>"; nullopt when `name`
 /// doesn't match. Rejects empty/overlong/non-digit suffixes.
@@ -50,6 +56,55 @@ std::size_t file_size_or_zero(const std::string& path) {
   return ec ? 0 : static_cast<std::size_t>(size);
 }
 
+/// Directory holding the generation files of `base`.
+fs::path dir_of(const std::string& base) {
+  fs::path dir = fs::path(base).parent_path();
+  return dir.empty() ? fs::path(".") : dir;
+}
+
+struct Generations {
+  std::vector<std::uint64_t> snaps;
+  std::vector<std::uint64_t> journals;
+};
+
+/// Every "<base>.snap.<seq>" / "<base>.journal.<seq>" next to `base`.
+Result<Generations> list_generations(const std::string& base) {
+  const fs::path dir = dir_of(base);
+  const std::string stem = fs::path(base).filename().string();
+  Generations out;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (const auto s = generation_suffix(name, stem + ".snap.")) {
+      out.snaps.push_back(*s);
+    } else if (const auto j = generation_suffix(name, stem + ".journal.")) {
+      out.journals.push_back(*j);
+    }
+  }
+  if (ec) return Error::io("cannot scan " + dir.string() + ": " + ec.message());
+  return out;
+}
+
+bool pwrite_all(int fd, ByteView bytes, std::uint64_t offset) {
+  std::size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::pwrite(fd, bytes.data() + done, bytes.size() - done,
+                               static_cast<off_t>(offset + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    done += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// Makes a rename in `dir` durable.
+bool fsync_dir(const fs::path& dir) {
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool ok = ::fsync(fd) == 0;
+  return (::close(fd) == 0) && ok;
+}
+
 std::int64_t steady_now_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -65,7 +120,46 @@ StorageEngine::StorageEngine(std::string base_path)
 }
 
 StorageEngine::~StorageEngine() {
+  wait_idle();
   if (journal_ != nullptr) std::fclose(journal_);
+}
+
+SnapshotWriter& SnapshotWriter::shared() {
+  static SnapshotWriter writer;
+  return writer;
+}
+
+SnapshotWriter::SnapshotWriter() : thread_([this] { run(); }) {}
+
+SnapshotWriter::~SnapshotWriter() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
+  }
+  wake_.notify_one();
+  thread_.join();
+}
+
+void SnapshotWriter::post(UniqueFunction job) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    jobs_.push_back(std::move(job));
+  }
+  wake_.notify_one();
+}
+
+void SnapshotWriter::run() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  while (true) {
+    wake_.wait(lock, [this] { return stopping_ || !jobs_.empty(); });
+    if (jobs_.empty()) return;  // stopping, and every queued job has run
+    UniqueFunction job = std::move(jobs_.front());
+    jobs_.pop_front();
+    lock.unlock();
+    job();
+    job = UniqueFunction();  // release the captured snapshot off the lock
+    lock.lock();
+  }
 }
 
 std::string StorageEngine::snap_path(std::uint64_t seq) const {
@@ -77,26 +171,12 @@ std::string StorageEngine::journal_path(std::uint64_t seq) const {
 }
 
 Status StorageEngine::recover() {
-  // Enumerate generations: every "<base>.snap.<seq>" / "<base>.journal.<seq>"
-  // sitting next to the base path.
-  const fs::path base(base_);
-  fs::path dir = base.parent_path();
-  if (dir.empty()) dir = ".";
-  const std::string stem = base.filename().string();
-
   std::error_code ec;
-  fs::create_directories(dir, ec);  // first boot of a fresh --store-path dir
-  std::vector<std::uint64_t> snaps;
-  std::vector<std::uint64_t> journals;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (const auto s = generation_suffix(name, stem + ".snap.")) {
-      snaps.push_back(*s);
-    } else if (const auto j = generation_suffix(name, stem + ".journal.")) {
-      journals.push_back(*j);
-    }
-  }
-  if (ec) return Error::io("cannot scan " + dir.string() + ": " + ec.message());
+  fs::create_directories(dir_of(base_), ec);  // first boot of a fresh dir
+  auto listed = list_generations(base_);
+  if (!listed.ok()) return listed.error();
+  std::vector<std::uint64_t>& snaps = listed.value().snaps;
+  std::vector<std::uint64_t>& journals = listed.value().journals;
   std::sort(snaps.begin(), snaps.end(), std::greater<>());
   std::sort(journals.begin(), journals.end());
 
@@ -258,16 +338,19 @@ Result<std::size_t> StorageEngine::replay_journal(std::uint64_t seq) {
 }
 
 Status StorageEngine::open_journal(std::uint64_t seq) {
-  if (journal_ != nullptr) {
-    std::fclose(journal_);
-    journal_ = nullptr;
-  }
+  // Open the next journal before closing the current one: a failed roll
+  // leaves appends flowing into the old generation.
   const std::string path = journal_path(seq);
-  journal_ = std::fopen(path.c_str(), "a+b");
-  if (journal_ == nullptr) return Error::io("cannot open journal: " + path);
-  std::fseek(journal_, 0, SEEK_END);
-  const long at = std::ftell(journal_);
-  if (at < 0) return Error::io("ftell failed on " + path);
+  std::FILE* next = std::fopen(path.c_str(), "a+b");
+  if (next == nullptr) return Error::io("cannot open journal: " + path);
+  std::fseek(next, 0, SEEK_END);
+  const long at = std::ftell(next);
+  if (at < 0) {
+    std::fclose(next);
+    return Error::io("ftell failed on " + path);
+  }
+  if (journal_ != nullptr) std::fclose(journal_);
+  journal_ = next;
   journal_end_.store(static_cast<std::size_t>(at),
                      std::memory_order_relaxed);
   return Status::ok_status();
@@ -403,63 +486,156 @@ ReapStats StorageEngine::reap(SimTime now, std::size_t max_bytes) {
 
 Result<std::size_t> StorageEngine::checkpoint() {
   if (!open_status_.ok()) return open_status_.error();
+  wait_idle();  // never skipped: a write already in flight lands first
+  begin_checkpoint();
+  wait_idle();
+  return take_write_result();
+}
 
-  // Serialize the live set (values and tombstones both — a snapshot that
-  // dropped tombstones could resurrect deletes on the replay path).
-  Writer body(inner_.value_bytes() + 64 * inner_.object_count());
-  std::uint64_t count = 0;
-  inner_.for_each([&body, &count](const Object& obj) {
-    encode(body, obj);
-    ++count;
-  });
-  const ByteView view = body.view();
+Result<std::size_t> StorageEngine::compact_storage() {
+  if (!open_status_.ok()) return open_status_.error();
+  if (!begin_checkpoint()) {
+    checkpoints_skipped_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return take_write_result();
+}
 
-  const std::uint64_t new_seq = seq_ + 1;
+bool StorageEngine::begin_checkpoint() {
+  {
+    std::lock_guard<std::mutex> lock(write_mutex_);
+    if (write_in_flight_) return false;
+    write_in_flight_ = true;
+  }
+  auto snap = capture();
+  if (!snap.ok()) {
+    finish_write(snap.error());
+    return true;
+  }
+  SnapshotWriter::shared().post(
+      [this, snap = std::move(snap.value())]() {
+        finish_write(write_snapshot(snap));
+      });
+  return true;
+}
+
+Result<StorageEngine::Capture> StorageEngine::capture() {
+  // Values and tombstones both: a snapshot that dropped tombstones could
+  // resurrect deletes on the replay path.
+  Capture snap;
+  snap.seq = seq_ + 1;
+  snap.objects.reserve(inner_.object_count());
+  inner_.for_each([&snap](const Object& obj) { snap.objects.push_back(obj); });
+  if (Status s = open_journal(snap.seq); !s.ok()) return s.error();
+  seq_ = snap.seq;
+  return snap;
+}
+
+Result<std::size_t> StorageEngine::write_snapshot(const Capture& snap) {
+  // tmp + fsync + rename + directory fsync: the snapshot either exists whole
+  // or not at all, and once it exists a power loss cannot undo the rename.
+  const std::string tmp_path = base_ + ".snap.tmp";
+  const int fd =
+      ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return Error::io("cannot open " + tmp_path);
+
+  // The body streams through one bounded buffer with a running CRC; the
+  // header, which carries the body's length and CRC, goes last at offset 0.
+  Writer chunk(kSnapChunk + kSnapChunk / 4);
+  std::uint64_t body_len = 0;
+  std::uint32_t crc = 0;
+  bool ok = true;
+  const auto drain = [&]() {
+    const ByteView view = chunk.view();
+    crc = crc32(view.data(), view.size(), crc);
+    ok = ok && pwrite_all(fd, view, kSnapHeaderSize + body_len);
+    body_len += view.size();
+    chunk.clear();
+  };
+  for (const Object& obj : snap.objects) {
+    encode(chunk, obj);
+    if (chunk.size() >= kSnapChunk) drain();
+    if (!ok) break;
+  }
+  drain();
+
   Writer header(kSnapHeaderSize);
   header.u32(kSnapMagic);
-  header.u64(new_seq);
-  header.u64(count);
-  header.u64(view.size());
-  header.u32(crc32(view.data(), view.size()));
-
-  // tmp + fsync + rename: the snapshot either exists whole or not at all.
-  const std::string tmp_path = base_ + ".snap.tmp";
-  std::FILE* tmp = std::fopen(tmp_path.c_str(), "wb");
-  if (tmp == nullptr) return Error::io("cannot open " + tmp_path);
-  const ByteView hview = header.view();
-  if (std::fwrite(hview.data(), hview.size(), 1, tmp) != 1 ||
-      (!view.empty() && std::fwrite(view.data(), view.size(), 1, tmp) != 1) ||
-      std::fflush(tmp) != 0 || ::fsync(fileno(tmp)) != 0) {
-    std::fclose(tmp);
+  header.u64(snap.seq);
+  header.u64(snap.objects.size());
+  header.u64(body_len);
+  header.u32(crc);
+  ok = ok && pwrite_all(fd, header.view(), 0) && ::fsync(fd) == 0;
+  ok = (::close(fd) == 0) && ok;  // close can report a deferred write error
+  if (!ok) {
     std::remove(tmp_path.c_str());
     return Error::io("snapshot write failed: " + tmp_path);
   }
-  std::fclose(tmp);
-  if (std::rename(tmp_path.c_str(), snap_path(new_seq).c_str()) != 0) {
+  const std::string final_path = snap_path(snap.seq);
+  if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
     std::remove(tmp_path.c_str());
-    return Error::io("snapshot rename failed: " + snap_path(new_seq));
+    return Error::io("snapshot rename failed: " + final_path);
   }
-
-  // Roll the journal forward, then drop generations older than the previous
-  // one — two stay on disk so a corrupt newest snapshot still has a parent
-  // to fall back to.
-  const std::uint64_t old_seq = seq_;
-  if (Status s = open_journal(new_seq); !s.ok()) return s.error();
-  seq_ = new_seq;
+  // Until the directory is synced the rename may not survive a power loss
+  // while the unlinks below would: no GC without it.
+  if (!fsync_dir(dir_of(base_))) {
+    return Error::io("cannot fsync the directory of " + final_path);
+  }
   last_checkpoint_us_.store(steady_now_us(), std::memory_order_relaxed);
+  return collect_garbage(snap.seq);
+}
 
+std::size_t StorageEngine::collect_garbage(std::uint64_t durable) const {
+  // Keep the newest snapshot below `durable` — the fallback should the new
+  // one prove corrupt — and every journal from it on. A generation whose
+  // snapshot never landed (crash before the rename) has only a journal, so
+  // the fallback can sit more than one generation back.
+  const auto listed = list_generations(base_);
+  if (!listed.ok()) return 0;
+  const Generations& gens = listed.value();
+  std::uint64_t fallback = 0;
+  for (const std::uint64_t seq : gens.snaps) {
+    if (seq < durable) fallback = std::max(fallback, seq);
+  }
   std::size_t reclaimed = 0;
-  for (std::uint64_t seq = old_seq; seq-- > 0;) {
-    const std::string snap = snap_path(seq);
-    const std::string journal = journal_path(seq);
-    const std::size_t bytes =
-        file_size_or_zero(snap) + file_size_or_zero(journal);
-    if (bytes == 0) break;  // generations below were already removed
-    std::remove(snap.c_str());
-    std::remove(journal.c_str());
-    reclaimed += bytes;
+  const auto drop = [&reclaimed](const std::string& path) {
+    const std::size_t bytes = file_size_or_zero(path);
+    if (std::remove(path.c_str()) == 0) reclaimed += bytes;
+  };
+  for (const std::uint64_t seq : gens.snaps) {
+    if (seq < fallback) drop(snap_path(seq));
+  }
+  for (const std::uint64_t seq : gens.journals) {
+    if (seq < fallback) drop(journal_path(seq));
   }
   return reclaimed;
+}
+
+void StorageEngine::finish_write(Result<std::size_t> outcome) {
+  // Notify under the lock: the destructor may be waiting, and once the lock
+  // drops this engine may be gone.
+  std::lock_guard<std::mutex> lock(write_mutex_);
+  if (outcome.ok()) {
+    reclaimed_unreported_ += outcome.value();
+  } else if (!write_error_.has_value()) {
+    write_error_ = outcome.error();
+  }
+  write_in_flight_ = false;
+  write_idle_.notify_all();
+}
+
+Result<std::size_t> StorageEngine::take_write_result() {
+  std::lock_guard<std::mutex> lock(write_mutex_);
+  if (write_error_.has_value()) {
+    Error error = std::move(*write_error_);
+    write_error_.reset();
+    return error;
+  }
+  return std::exchange(reclaimed_unreported_, 0);
+}
+
+void StorageEngine::wait_idle() {
+  std::unique_lock<std::mutex> lock(write_mutex_);
+  write_idle_.wait(lock, [this] { return !write_in_flight_; });
 }
 
 Status StorageEngine::sync() {

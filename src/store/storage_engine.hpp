@@ -5,7 +5,7 @@
 //   <base>.snap.<seq>     one stream of live objects + tombstones behind a
 //                         CRC'd header (u32 magic | u64 seq | u64 count |
 //                         u64 body_len | u32 body_crc), written atomically
-//                         (tmp + fsync + rename) by checkpoint()
+//                         (tmp + fsync + rename + directory fsync)
 //   <base>.journal.<seq>  mutations accepted since snap.<seq>, in LogStore
 //                         record framing (u32 magic | u32 crc | u32 len |
 //                         body = the wire Object codec)
@@ -17,10 +17,20 @@
 // error, never a silently empty store. A torn journal tail is truncated at
 // the last whole record, also loudly.
 //
+// A checkpoint is two steps. Capture runs on the caller, under whatever
+// lock serializes the engine: it copies the live set's Object handles
+// (payloads are refcounted, no value bytes move) and rolls the journal to
+// generation N+1 — nothing else. Write runs on the process's one
+// SnapshotWriter thread: it streams the captured set through a bounded
+// buffer with a running CRC into <base>.snap.tmp, writes the header last,
+// fsyncs, renames to snap.<N+1>, fsyncs the directory, and only then
+// deletes generations older than the fallback. A crash anywhere in between
+// leaves snap.<N> plus journals N and N+1 — exactly what recovery replays.
+//
 // Removals (tombstone GC, expiry, eviction, slice-change drops) are NOT
 // journaled: replay may resurrect them in memory, and the same timers that
 // removed them remove them again — safe because TTL deadlines and deletion
-// stamps are absolute, and cheaper than journaling every reap. checkpoint()
+// stamps are absolute, and cheaper than journaling every reap. A checkpoint
 // makes removals durable by rewriting the live set.
 //
 // TTL and eviction: an expiry wheel (min-heap over deadlines, lazily
@@ -31,17 +41,48 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <deque>
 #include <list>
+#include <mutex>
+#include <optional>
 #include <queue>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "common/unique_function.hpp"
 #include "store/memstore.hpp"
 #include "store/store.hpp"
 
 namespace dataflasks::store {
+
+/// The process's background snapshot writer: one thread running posted jobs
+/// in order, so a checkpoint's encode/write/fsync never stalls the shard
+/// loop that asked for it. Started on first use; destruction finishes the
+/// queued jobs and joins the thread.
+class SnapshotWriter {
+ public:
+  static SnapshotWriter& shared();
+
+  SnapshotWriter();
+  ~SnapshotWriter();
+  SnapshotWriter(const SnapshotWriter&) = delete;
+  SnapshotWriter& operator=(const SnapshotWriter&) = delete;
+
+  void post(UniqueFunction job);
+
+ private:
+  void run();
+
+  std::mutex mutex_;
+  std::condition_variable wake_;
+  std::deque<UniqueFunction> jobs_;
+  bool stopping_ = false;
+  std::thread thread_;
+};
 
 class StorageEngine final : public Store {
  public:
@@ -96,12 +137,17 @@ class StorageEngine final : public Store {
     return inner_.breakdown();
   }
 
-  /// Writes snapshot generation seq+1 from the live set, starts a fresh
-  /// journal, and deletes generations older than the previous one (two are
-  /// kept so a corrupt newest snapshot still has a fallback). Returns bytes
-  /// reclaimed on disk.
+  /// Checkpoints synchronously: waits out a write already in flight, then
+  /// captures snapshot generation seq+1 and waits for its write. Older
+  /// generations go once it is durable; the newest snapshot below it stays
+  /// as the fallback. Returns bytes reclaimed on disk (including any earlier
+  /// background write not yet reported), or the first write error.
   Result<std::size_t> checkpoint();
-  Result<std::size_t> compact_storage() override { return checkpoint(); }
+  /// The periodic checkpoint: captures now and leaves the write to the
+  /// SnapshotWriter. Returns what earlier background writes reclaimed (or
+  /// the error one of them hit). While this engine's previous write is
+  /// still in flight the call is skipped — counted, never queued.
+  Result<std::size_t> compact_storage() override;
 
   /// Flushes buffered journal appends to the OS.
   Status sync();
@@ -112,9 +158,13 @@ class StorageEngine final : public Store {
   [[nodiscard]] std::size_t journal_bytes() const {
     return journal_end_.load(std::memory_order_relaxed);
   }
-  /// Seconds since the last checkpoint (or since open, before the first).
-  /// Also safe cross-thread (atomic timestamp).
+  /// Seconds since the last durable checkpoint (or since open, before the
+  /// first). Also safe cross-thread (atomic timestamp).
   [[nodiscard]] double snapshot_age_seconds() const;
+  /// compact_storage() calls skipped because a write was still in flight.
+  [[nodiscard]] std::uint64_t checkpoints_skipped() const {
+    return checkpoints_skipped_.load(std::memory_order_relaxed);
+  }
 
  private:
   struct ExpiryEntry {
@@ -125,6 +175,13 @@ class StorageEngine final : public Store {
     friend bool operator>(const ExpiryEntry& a, const ExpiryEntry& b) {
       return a.expires_at > b.expires_at;
     }
+  };
+
+  /// One checkpoint's frozen view: the generation it becomes and the live
+  /// set's handles at the journal roll.
+  struct Capture {
+    std::uint64_t seq = 0;
+    std::vector<Object> objects;
   };
 
   [[nodiscard]] std::string snap_path(std::uint64_t seq) const;
@@ -140,6 +197,21 @@ class StorageEngine final : public Store {
   /// Opens (creating if absent) journal.<seq> for appends.
   Status open_journal(std::uint64_t seq);
   Status append_journal(const Object& obj);
+
+  /// Capture, then hand the write to the SnapshotWriter; false (nothing
+  /// done) while a write is already in flight.
+  bool begin_checkpoint();
+  /// Copies the live set's handles and rolls the journal to seq+1. Runs
+  /// under the caller's lock, like every other mutation.
+  Result<Capture> capture();
+  /// Writer thread: writes, fsyncs and renames snap.<seq>, then GCs.
+  /// Touches no engine state but the base path and atomics.
+  Result<std::size_t> write_snapshot(const Capture& snap);
+  /// Deletes generations older than the newest snapshot below `durable`.
+  [[nodiscard]] std::size_t collect_garbage(std::uint64_t durable) const;
+  void finish_write(Result<std::size_t> outcome);
+  Result<std::size_t> take_write_result();
+  void wait_idle();
 
   /// Stores into `inner_` and maintains the expiry wheel and LRU list —
   /// everything put() does except journaling; recovery replay uses it too.
@@ -160,6 +232,14 @@ class StorageEngine final : public Store {
   /// (the owning shard serializes mutations through ShardedStore's locks).
   std::atomic<std::size_t> journal_end_{0};
   std::atomic<std::int64_t> last_checkpoint_us_{0};
+  std::atomic<std::uint64_t> checkpoints_skipped_{0};
+
+  /// Background-write state, shared with the writer thread.
+  std::mutex write_mutex_;
+  std::condition_variable write_idle_;
+  bool write_in_flight_ = false;
+  std::size_t reclaimed_unreported_ = 0;
+  std::optional<Error> write_error_;
 
   std::priority_queue<ExpiryEntry, std::vector<ExpiryEntry>,
                       std::greater<ExpiryEntry>>

@@ -1,5 +1,7 @@
 // StorageEngine: snapshot + journal-tail recovery, checkpoint compaction,
-// TTL expiry / LRU eviction, and torn-write robustness. The fuzz tests cut
+// background snapshot writes (puts racing an in-flight write, a crash
+// between the journal roll and the rename, fallback-preserving GC, skipped
+// ticks), TTL expiry / LRU eviction, and torn-write robustness. The fuzz tests cut
 // or flip the on-disk files at every byte position and assert the contract:
 // recovery is loud (warnings / open error) and never silently empty.
 #include <gtest/gtest.h>
@@ -9,10 +11,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "store/log_store.hpp"
+#include "store/sharded_store.hpp"
 #include "store/storage_engine.hpp"
 
 namespace dataflasks::store {
@@ -147,6 +153,202 @@ TEST(StorageEngine, TombstonesSurviveCheckpointAndRestart) {
   StorageEngine reopened(dir.base());
   ASSERT_TRUE(reopened.open_status().ok());
   EXPECT_EQ(reopened.tombstone_version("gone"), 2u);
+}
+
+// ---- background snapshot writes ---------------------------------------------------
+
+/// Keeps the process's snapshot writer busy until release(): a snapshot
+/// write posted meanwhile stays in flight, queued behind the gate.
+class WriterGate {
+ public:
+  WriterGate() {
+    SnapshotWriter::shared().post(
+        [opened = open_.get_future()]() { opened.wait(); });
+  }
+  ~WriterGate() { release(); }
+  WriterGate(const WriterGate&) = delete;
+  WriterGate& operator=(const WriterGate&) = delete;
+
+  void release() {
+    if (released_) return;
+    released_ = true;
+    open_.set_value();
+  }
+
+ private:
+  std::promise<void> open_;
+  bool released_ = false;
+};
+
+/// Returns once every job posted to the writer so far has run.
+void drain_writer() {
+  auto done = std::make_shared<std::promise<void>>();
+  std::future<void> finished = done->get_future();
+  SnapshotWriter::shared().post([done]() { done->set_value(); });
+  finished.wait();
+}
+
+std::unique_ptr<ShardedStore> sharded_engines(const std::string& base) {
+  std::vector<std::unique_ptr<Store>> parts;
+  for (int k = 0; k < 2; ++k) {
+    auto engine =
+        std::make_unique<StorageEngine>(base + "-p" + std::to_string(k));
+    EXPECT_TRUE(engine->open_status().ok());
+    parts.push_back(std::move(engine));
+  }
+  return std::make_unique<ShardedStore>(std::move(parts));
+}
+
+TEST(StorageEngineCheckpoint, PutsDuringAnInFlightWriteSurviveRestart) {
+  TempDir dir("inflight");
+  constexpr int kCaptured = 200;
+  constexpr int kDuring = 100;
+  {
+    auto store = sharded_engines(dir.base());
+    for (int i = 0; i < kCaptured; ++i) {
+      ASSERT_TRUE(store->put(live("cap" + std::to_string(i), 1, 0x01)).ok());
+    }
+    WriterGate gate;
+    ASSERT_TRUE(store->compact_storage().ok());  // captured, write queued
+    // Half the tail lands while the write waits, half races it: the writer
+    // thread encodes the captured handles while this thread takes the same
+    // partition locks to put.
+    for (int i = 0; i < kDuring; ++i) {
+      if (i == kDuring / 2) gate.release();
+      ASSERT_TRUE(store->put(live("tail" + std::to_string(i), 1, 0x02)).ok());
+      ASSERT_TRUE(store->put(live("cap" + std::to_string(i), 2, 0x03)).ok());
+    }
+  }  // destruction waits for the writes
+  auto reopened = sharded_engines(dir.base());
+  for (int i = 0; i < kCaptured; ++i) {
+    EXPECT_TRUE(reopened->contains("cap" + std::to_string(i), 1)) << i;
+  }
+  for (int i = 0; i < kDuring; ++i) {
+    EXPECT_TRUE(reopened->contains("tail" + std::to_string(i), 1)) << i;
+    EXPECT_TRUE(reopened->contains("cap" + std::to_string(i), 2)) << i;
+  }
+  // Every object came from exactly one place: the snapshot holds what was
+  // captured, the generation-2 journal everything after the roll.
+  std::size_t from_snapshot = 0;
+  std::size_t from_journal = 0;
+  for (int k = 0; k < 2; ++k) {
+    StorageEngine part(dir.base() + "-p" + std::to_string(k));
+    ASSERT_TRUE(part.open_status().ok());
+    EXPECT_EQ(part.recovery().snapshot_seq, 2u);
+    EXPECT_TRUE(part.recovery().warnings.empty());
+    from_snapshot += part.recovery().snapshot_objects;
+    from_journal += part.recovery().records_replayed;
+  }
+  EXPECT_EQ(from_snapshot, static_cast<std::size_t>(kCaptured));
+  EXPECT_EQ(from_journal, static_cast<std::size_t>(2 * kDuring));
+}
+
+/// Leaves `crash` holding what a crash between a checkpoint's journal roll
+/// and its rename leaves on disk: snap.2, journals 2 and 3, a half-written
+/// snap.tmp and no snap.3. "a*" keys are in snap.2, "b*" only in journal 2,
+/// "c*" only in journal 3.
+void crash_between_roll_and_rename(const TempDir& live_dir,
+                                   const TempDir& crash) {
+  StorageEngine engine(live_dir.base());
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(engine.put(live("a" + std::to_string(i), 1, 0x0A)).ok());
+  }
+  ASSERT_TRUE(engine.checkpoint().ok());  // snap.2
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(engine.put(live("b" + std::to_string(i), 1, 0x0B)).ok());
+  }
+  WriterGate gate;
+  ASSERT_TRUE(engine.compact_storage().ok());  // journal rolled to 3
+  ASSERT_EQ(engine.generation(), 3u);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(engine.put(live("c" + std::to_string(i), 1, 0x0C)).ok());
+  }
+  ASSERT_TRUE(engine.sync().ok());
+  for (const auto& entry : fs::directory_iterator(live_dir.path)) {
+    fs::copy_file(entry.path(), crash.path / entry.path().filename());
+  }
+  write_file(crash.base() + ".snap.tmp", Bytes(40, 0x5A));
+  ASSERT_FALSE(fs::exists(crash.base() + ".snap.3"));
+}
+
+void expect_abc(const StorageEngine& engine) {
+  for (int i = 0; i < 10; ++i) {
+    for (const char* prefix : {"a", "b", "c"}) {
+      EXPECT_TRUE(engine.contains(prefix + std::to_string(i), 1))
+          << prefix << i;
+    }
+  }
+}
+
+TEST(StorageEngineCheckpoint, CrashBeforeRenameRecoversFromPreviousSnapshot) {
+  TempDir live_dir("roll_live");
+  TempDir crash("roll_crash");
+  crash_between_roll_and_rename(live_dir, crash);
+
+  StorageEngine engine(crash.base());
+  ASSERT_TRUE(engine.open_status().ok());
+  EXPECT_EQ(engine.recovery().snapshot_seq, 2u);
+  EXPECT_EQ(engine.recovery().snapshot_objects, 10u);
+  EXPECT_EQ(engine.recovery().journals_replayed, 2u);
+  EXPECT_EQ(engine.recovery().records_replayed, 20u);
+  EXPECT_EQ(engine.generation(), 3u);  // appends continue into journal 3
+  EXPECT_EQ(engine.object_count(), 30u);
+  expect_abc(engine);
+}
+
+TEST(StorageEngineCheckpoint, GcNeverUnlinksTheLastDurableFallback) {
+  TempDir live_dir("gc_live");
+  TempDir crash("gc_crash");
+  crash_between_roll_and_rename(live_dir, crash);
+  {
+    StorageEngine engine(crash.base());
+    ASSERT_TRUE(engine.open_status().ok());
+    ASSERT_TRUE(engine.checkpoint().ok());  // snap.4; snap.3 never landed
+  }
+  // snap.2 is the newest snapshot below snap.4, so it and every journal
+  // from it on stay: a corrupt snap.4 must still have a way back.
+  EXPECT_TRUE(fs::exists(crash.base() + ".snap.2"));
+  EXPECT_TRUE(fs::exists(crash.base() + ".journal.2"));
+  EXPECT_TRUE(fs::exists(crash.base() + ".journal.3"));
+  const std::string snap4 = crash.base() + ".snap.4";
+  Bytes mutated = read_file(snap4);
+  ASSERT_FALSE(mutated.empty());
+  mutated.back() ^= 0xFF;
+  write_file(snap4, mutated);
+  {
+    StorageEngine engine(crash.base());
+    ASSERT_TRUE(engine.open_status().ok());
+    EXPECT_EQ(engine.recovery().snapshot_seq, 2u);
+    EXPECT_FALSE(engine.recovery().warnings.empty());
+    expect_abc(engine);
+    // The next durable snapshot finally retires generations 2 and 3.
+    ASSERT_TRUE(engine.checkpoint().ok());  // snap.5, fallback snap.4
+  }
+  EXPECT_TRUE(fs::exists(crash.base() + ".snap.4"));
+  EXPECT_FALSE(fs::exists(crash.base() + ".snap.2"));
+  EXPECT_FALSE(fs::exists(crash.base() + ".journal.3"));
+}
+
+TEST(StorageEngineCheckpoint, TickDuringAnInFlightWriteIsSkippedNotQueued) {
+  TempDir dir("skip");
+  StorageEngine engine(dir.base());
+  ASSERT_TRUE(engine.put(live("k", 1, 0x01)).ok());
+  {
+    WriterGate gate;
+    ASSERT_TRUE(engine.compact_storage().ok());
+    EXPECT_EQ(engine.generation(), 2u);
+    ASSERT_TRUE(engine.compact_storage().ok());  // write 2 still in flight
+    ASSERT_TRUE(engine.compact_storage().ok());
+    EXPECT_EQ(engine.checkpoints_skipped(), 2u);
+    EXPECT_EQ(engine.generation(), 2u);  // nothing captured, journal kept
+  }
+  drain_writer();
+  EXPECT_TRUE(fs::exists(dir.base() + ".snap.2"));
+  EXPECT_FALSE(fs::exists(dir.base() + ".snap.3"));  // skips were not queued
+  EXPECT_EQ(engine.generation(), 2u);
+  ASSERT_TRUE(engine.compact_storage().ok());  // idle again: this one runs
+  EXPECT_EQ(engine.generation(), 3u);
+  EXPECT_EQ(engine.checkpoints_skipped(), 2u);
 }
 
 // ---- torn-write fuzz ---------------------------------------------------------------

@@ -1,14 +1,18 @@
 // Stream transport tests: incremental frame reassembly (arbitrary byte
 // windows, poisoning on malformed headers), real TCP loopback through
-// StreamListener/StreamConnection/StreamTransport — including a 1 MiB frame
-// and the reply-rides-the-connection-back contract — and the DualTransport
+// StreamListener/StreamConnection/StreamTransport — including a 1 MiB frame,
+// the reply-rides-the-connection-back contract, TCP_NODELAY on both ends and
+// timer-free sequential round trips — and the DualTransport
 // policy layer: oversized sends require streams, preferred types fall back
 // to UDP against stream-less peers, maintenance never leaves UDP, and an
 // AddressBook eviction closes the evicted peer's cached connection.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
+#include <chrono>
 #include <cstring>
 #include <functional>
 #include <vector>
@@ -17,6 +21,7 @@
 #include "net/frame.hpp"
 #include "net/stream/dual_transport.hpp"
 #include "net/stream/stream_frame.hpp"
+#include "net/stream/stream_listener.hpp"
 #include "net/stream/stream_transport.hpp"
 #include "net/udp_transport.hpp"
 #include "runtime/real_time_runtime.hpp"
@@ -298,6 +303,83 @@ TEST(StreamTransport, FailedDialCountsAndNotifiesPeerDown) {
   EXPECT_EQ(down[0], NodeId(5));
   EXPECT_FALSE(client.transport->connected_to(NodeId(5)));
   EXPECT_FALSE(client.transport->dialing(NodeId(5)));
+}
+
+struct NullEvents final : StreamConnection::Events {
+  void on_stream_message(StreamConnection&, Message) override {}
+  void on_stream_open(StreamConnection&) override {}
+  void on_stream_closed(StreamConnection&) override {}
+};
+
+bool nodelay_set(int fd) {
+  int on = 0;
+  socklen_t len = sizeof(on);
+  return ::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, &len) == 0 &&
+         on != 0;
+}
+
+TEST(StreamConnection, DialedAndAcceptedSocketsDisableNagle) {
+  runtime::RealTimeRuntime rt(1);
+  NullEvents events;
+  StreamConnection::Stats stats;
+  const StreamConnection::Limits limits;
+  std::unique_ptr<StreamConnection> accepted;
+  StreamListener listener(rt, kLoopbackIp, 0, [&](int fd) {
+    accepted =
+        std::make_unique<StreamConnection>(rt, events, stats, limits, fd);
+  });
+  ASSERT_NE(listener.port(), 0);
+
+  StreamConnection dialed(rt, events, stats, limits, NodeId(2),
+                          loopback_addr(listener.port()));
+  ASSERT_FALSE(dialed.closed());
+  EXPECT_TRUE(nodelay_set(dialed.fd()));
+  run_until(rt, 2 * kSeconds, [&] { return accepted != nullptr; });
+  ASSERT_NE(accepted, nullptr);
+  EXPECT_TRUE(nodelay_set(accepted->fd()));
+}
+
+TEST(StreamTransport, SequentialRoundTripsWaitOnNoTimer) {
+  // Each 8 KiB request goes out only after the previous 8 KiB reply came
+  // back. Were a frame's body to wait behind the peer's delayed ACK of its
+  // header (Nagle), every round trip past the connection's quick-ACK phase
+  // would cost a delayed-ACK quantum and the loop would take seconds.
+  runtime::RealTimeRuntime rt(1);
+  StreamPeer server(rt, /*listen=*/true);
+  StreamPeer client(rt, /*listen=*/false);
+  server.transport->set_receiver([&](const Message& msg) {
+    Message reply = msg;
+    reply.src = msg.dst;
+    reply.dst = msg.src;
+    server.transport->send(reply);
+  });
+  std::size_t replies = 0;
+  client.transport->set_receiver([&](const Message&) {
+    ++replies;
+    rt.stop();
+  });
+  client.transport->dial(NodeId(2),
+                         loopback_addr(server.transport->listen_port()));
+  run_until(rt, 2 * kSeconds,
+            [&] { return client.transport->connected_to(NodeId(2)); });
+  ASSERT_TRUE(client.transport->connected_to(NodeId(2)));
+
+  constexpr std::size_t kRounds = 200;
+  Message request = sample_message(8 * 1024);
+  request.src = NodeId(1);
+  request.dst = NodeId(2);
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < kRounds; ++i) {
+    ASSERT_TRUE(client.transport->send(request));
+    const SimTime deadline = rt.now() + 2 * kSeconds;
+    while (replies == i && rt.now() < deadline) rt.run_until(deadline);
+    ASSERT_EQ(replies, i + 1) << "round trip " << i << " never completed";
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::seconds(1))
+      << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
+             .count()
+      << " ms for " << kRounds << " round trips";
 }
 
 TEST(StreamTransport, SendWithoutRouteReturnsFalse) {
