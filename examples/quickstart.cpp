@@ -29,7 +29,8 @@ int main() {
     std::printf("  slice %u: %zu nodes\n", slice, count);
   }
 
-  // 3. A client with the paper's random load balancer.
+  // 3. A client. It starts with the paper's random contacts and learns,
+  //    from its replies, the slice count and a replica per slice (§VII).
   auto& client = cluster.add_client();
 
   // 4. Write three versioned objects. DataFlasks routes each put to the

@@ -6,7 +6,7 @@
 //
 //   $ ./examples/ycsb_workbench workload=a nodes=120 records=200 ops=400
 //   workload = a|b|c|d|f|write-only|delete-heavy; other knobs: slices=
-//   clients= balancer=random|slice-cache seed= deletes=<fraction>
+//   clients= seed= deletes=<fraction>
 //   batch=<N: ops pipelined per envelope>
 #include <cstdio>
 
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   if (!parsed.ok()) {
     std::fprintf(stderr, "usage: ycsb_workbench [workload=a] [nodes=120] "
                          "[slices=6] [clients=8] [records=200] [ops=400] "
-                         "[balancer=random|slice-cache] [seed=42]\n");
+                         "[seed=42]\n");
     return 1;
   }
   const Config cfg = std::move(parsed).value();
@@ -48,7 +48,6 @@ int main(int argc, char** argv) {
   const auto clients = static_cast<std::size_t>(cfg.get_int("clients", 8));
   const auto records = static_cast<std::size_t>(cfg.get_int("records", 200));
   const auto ops = static_cast<std::size_t>(cfg.get_int("ops", 400));
-  const std::string balancer = cfg.get_string("balancer", "random");
   const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
   const double deletes = cfg.get_double("deletes", 0.0);
   const auto batch =
@@ -60,10 +59,9 @@ int main(int argc, char** argv) {
   spec.operation_count = ops / std::max<std::size_t>(1, clients);
 
   std::printf("ycsb-workbench: workload=%s nodes=%zu slices=%u clients=%zu "
-              "records=%zu ops=%zu balancer=%s deletes=%.2f batch=%zu\n",
+              "records=%zu ops=%zu deletes=%.2f batch=%zu\n",
               spec.name.c_str(), nodes, slices, clients, records,
-              spec.operation_count * clients, balancer.c_str(),
-              spec.delete_proportion, batch);
+              spec.operation_count * clients, spec.delete_proportion, batch);
 
   harness::ClusterOptions copts;
   copts.node_count = nodes;
@@ -73,12 +71,9 @@ int main(int argc, char** argv) {
   cluster.start_all();
   cluster.run_for(90 * kSeconds);
 
-  client::ClientOptions client_options;
-  if (balancer == "slice-cache") client_options.slice_count_hint = slices;
-
   std::vector<client::Client*> cluster_clients;
   for (std::size_t i = 0; i < clients; ++i) {
-    cluster_clients.push_back(&cluster.add_client(client_options, balancer));
+    cluster_clients.push_back(&cluster.add_client());
   }
 
   // Load phase: client 0 inserts every record.

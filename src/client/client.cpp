@@ -100,14 +100,16 @@ Version Client::stamp_version_above(const Key& key, Version floor) {
 }
 
 std::optional<SliceId> Client::slice_hint(const PendingBatch& batch) const {
-  if (options_.slice_count_hint == 0) return std::nullopt;
+  // Unknown k: no reply yet. k = 1: every node is in the key's slice, so a
+  // hint could only pin the client to one node; the uniform pick spreads
+  // the load instead.
+  if (slice_count_ <= 1) return std::nullopt;
   // Hint by the first unresolved op: exact for single-op requests and for
   // batches that happen to target one slice; a plain guess otherwise (any
   // contact can fan a mixed batch out to its slices).
   for (std::size_t i = 0; i < batch.ops.size(); ++i) {
     if (!batch.resolved[i]) {
-      return slicing::key_to_slice(batch.ops[i].key,
-                                   options_.slice_count_hint);
+      return slicing::key_to_slice(batch.ops[i].key, slice_count_);
     }
   }
   return std::nullopt;
@@ -408,6 +410,13 @@ void Client::dispatch(const net::Message& msg) {
   }
   const auto reply_batch = core::decode_op_reply_batch(msg.payload);
   if (!reply_batch) return;
+  // The newest reply wins. A new slice count renumbers every slice, so the
+  // cached replicas stop meaning anything. A stale count costs a spray,
+  // never correctness: the contact regroups ops by its own key_slice.
+  if (reply_batch->slice_count != slice_count_) {
+    slice_count_ = reply_batch->slice_count;
+    balancer_.forget_slices();
+  }
 
   for (const core::OpReply& reply : reply_batch->replies) {
     if (reply.rid.client != id_.value) continue;  // not ours (misroute)

@@ -36,9 +36,6 @@ namespace dataflasks::client {
 struct ClientOptions {
   SimTime request_timeout = 2 * kSeconds;
   std::uint32_t max_attempts = 4;  ///< total tries (1 initial + retries)
-  /// When set, the client maps keys to slices itself (enables slice-aware
-  /// load balancing). Must match the cluster's slice count; zero disables.
-  std::uint32_t slice_count_hint = 0;
   /// Hedged reads: when > 0, a read-only request with unanswered gets is
   /// re-sent to a *second* contact after this delay (without consuming a
   /// retry attempt). Cuts tail latency when the first contact is slow or
@@ -233,6 +230,10 @@ class Client {
   [[nodiscard]] std::uint8_t active_protocol() const {
     return active_protocol_;
   }
+  /// The fleet's slice count as the newest reply stated it (0 before the
+  /// first reply). Keys map to slices by it, so the load balancer can send
+  /// a request straight to a cached replica of the key's slice.
+  [[nodiscard]] std::uint32_t slice_count() const { return slice_count_; }
   [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
   /// Operations (not batches) currently awaiting resolution.
   [[nodiscard]] std::size_t inflight() const { return rid_index_.size(); }
@@ -292,6 +293,7 @@ class Client {
   ClientOptions options_;
   MetricsRegistry metrics_;
   std::uint8_t active_protocol_;
+  std::uint32_t slice_count_ = 0;
   std::uint64_t next_seq_ = 1;
   std::unordered_map<Key, Version> version_counters_;
   /// Batches keyed by their base sequence number.

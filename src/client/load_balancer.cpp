@@ -6,13 +6,26 @@
 
 namespace dataflasks::client {
 
-RandomLoadBalancer::RandomLoadBalancer(std::vector<NodeId> nodes, Rng rng)
+LoadBalancer::LoadBalancer(std::vector<NodeId> nodes, Rng rng)
     : nodes_(std::move(nodes)), rng_(rng) {
-  ensure(!nodes_.empty(), "RandomLoadBalancer: empty node list");
+  ensure(!nodes_.empty(), "LoadBalancer: empty node list");
 }
 
-NodeId RandomLoadBalancer::pick_contact(std::optional<SliceId> /*slice*/,
-                                        SimTime now) {
+NodeId LoadBalancer::pick_contact(std::optional<SliceId> slice, SimTime now) {
+  if (slice) {
+    const auto it = cache_.find(*slice);
+    // A cached replica under overload avoidance is skipped (not evicted:
+    // it still holds the data and is re-used once the avoidance expires).
+    if (it != cache_.end() && !avoid_overloaded(it->second, now)) {
+      ++hits_;
+      return it->second;
+    }
+    ++misses_;
+  }
+  return pick_random(now);
+}
+
+NodeId LoadBalancer::pick_random(SimTime now) {
   // Retry a few draws to dodge contacts that recently timed out or shed us
   // for overload. The last draw is returned unconditionally: it bounds the
   // work and doubles as an occasional liveness probe, so a restarted (or
@@ -27,7 +40,7 @@ NodeId RandomLoadBalancer::pick_contact(std::optional<SliceId> /*slice*/,
   return candidate;
 }
 
-bool RandomLoadBalancer::avoid_overloaded(NodeId node, SimTime now) {
+bool LoadBalancer::avoid_overloaded(NodeId node, SimTime now) {
   const auto it = overloaded_until_.find(node);
   if (it == overloaded_until_.end()) return false;
   if (now != 0 && now >= it->second) {
@@ -37,21 +50,25 @@ bool RandomLoadBalancer::avoid_overloaded(NodeId node, SimTime now) {
   return true;
 }
 
-void RandomLoadBalancer::observe_replica(NodeId node, SliceId /*slice*/) {
+void LoadBalancer::observe_replica(NodeId node, SliceId slice) {
   unreachable_.erase(node);
   overloaded_until_.erase(node);
+  cache_[slice] = node;
 }
 
-void RandomLoadBalancer::node_unreachable(NodeId node) {
+void LoadBalancer::node_unreachable(NodeId node) {
   // Bound: never blacklist more than half the population, or a partitioned
   // client would mark everyone unreachable and neuter the avoidance.
   if (unreachable_.size() >= std::max<std::size_t>(1, nodes_.size() / 2)) {
     unreachable_.clear();
   }
   unreachable_.insert(node);
+  std::erase_if(cache_, [node](const auto& entry) {
+    return entry.second == node;
+  });
 }
 
-void RandomLoadBalancer::node_overloaded(NodeId node, SimTime until) {
+void LoadBalancer::node_overloaded(NodeId node, SimTime until) {
   // An overloaded node answered, so it is definitely reachable.
   unreachable_.erase(node);
   // Same half-population bound as node_unreachable: when the whole fleet is
@@ -62,41 +79,6 @@ void RandomLoadBalancer::node_overloaded(NodeId node, SimTime until) {
   }
   SimTime& entry = overloaded_until_[node];
   entry = std::max(entry, until);
-}
-
-SliceCacheLoadBalancer::SliceCacheLoadBalancer(std::vector<NodeId> nodes,
-                                               Rng rng)
-    : RandomLoadBalancer(std::move(nodes), rng) {}
-
-NodeId SliceCacheLoadBalancer::pick_contact(std::optional<SliceId> slice,
-                                            SimTime now) {
-  if (slice) {
-    const auto it = cache_.find(*slice);
-    // A cached replica under overload avoidance is skipped (not evicted:
-    // it still holds the data and is re-used once the avoidance expires).
-    if (it != cache_.end() && !avoid_overloaded(it->second, now)) {
-      ++hits_;
-      return it->second;
-    }
-  }
-  ++misses_;
-  return RandomLoadBalancer::pick_contact(slice, now);
-}
-
-void SliceCacheLoadBalancer::observe_replica(NodeId node, SliceId slice) {
-  RandomLoadBalancer::observe_replica(node, slice);
-  cache_[slice] = node;
-}
-
-void SliceCacheLoadBalancer::node_unreachable(NodeId node) {
-  RandomLoadBalancer::node_unreachable(node);
-  for (auto it = cache_.begin(); it != cache_.end();) {
-    if (it->second == node) {
-      it = cache_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 }  // namespace dataflasks::client

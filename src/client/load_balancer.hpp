@@ -2,9 +2,10 @@
 // nodes that can answer client requests. ... For now, the Load Balancer
 // provides the client with a random contact node."
 //
-// Two policies are provided: the paper's random policy and the §VII
-// optimization direction — a slice cache that remembers which node answered
-// for each slice and contacts it directly next time.
+// This one goes the §VII way: it remembers one replica per slice, learned
+// from replies, and contacts it directly, so a request reaches its slice
+// on the first hop. A slice it knows no replica for (a cold client, an
+// evicted entry, or no slice hint at all) gets the paper's random contact.
 #pragma once
 
 #include <optional>
@@ -19,41 +20,34 @@ namespace dataflasks::client {
 
 class LoadBalancer {
  public:
-  virtual ~LoadBalancer() = default;
+  LoadBalancer(std::vector<NodeId> nodes, Rng rng);
 
-  /// Picks a contact node for a request targeting `slice` (nullopt when the
-  /// client cannot compute the slice, e.g. unknown slice count). `now` is
-  /// the caller's clock, used to expire per-contact overload avoidance
+  /// Picks a contact node for a request targeting `slice`: the cached
+  /// replica of that slice, else a random node. `slice` is nullopt when
+  /// the client cannot compute it (slice count unknown) or when it would
+  /// not narrow the choice (one slice holds every node). `now` is the
+  /// caller's clock, used to expire per-contact overload avoidance
   /// (callers without a clock may pass 0: avoidance then never expires on
   /// its own, only through observe_replica feedback).
-  [[nodiscard]] virtual NodeId pick_contact(std::optional<SliceId> slice,
-                                            SimTime now = 0) = 0;
+  [[nodiscard]] NodeId pick_contact(std::optional<SliceId> slice,
+                                    SimTime now = 0);
 
-  /// Feedback: `node` (a member of `slice`) answered a request.
-  virtual void observe_replica(NodeId /*node*/, SliceId /*slice*/) {}
+  /// Feedback: `node` (a member of `slice`) answered a request. It becomes
+  /// the slice's cached replica.
+  void observe_replica(NodeId node, SliceId slice);
 
-  /// Feedback: `node` failed to answer before the timeout.
-  virtual void node_unreachable(NodeId /*node*/) {}
+  /// Feedback: `node` failed to answer before the timeout. It is avoided
+  /// by random picks and evicted from the slice cache.
+  void node_unreachable(NodeId node);
 
   /// Feedback: `node` answered with an explicit overload shed; prefer
   /// other contacts until `until` (same clock domain as pick_contact's
-  /// `now`). Distinct from node_unreachable — an overloaded node is alive.
-  virtual void node_overloaded(NodeId /*node*/, SimTime /*until*/) {}
-};
+  /// `now`). Distinct from node_unreachable — an overloaded node is alive,
+  /// so its cache entry is skipped, not evicted.
+  void node_overloaded(NodeId node, SimTime until);
 
-/// The paper's policy: a uniformly random node from the bootstrap list —
-/// refined with timeout feedback: contacts that recently failed to answer
-/// are avoided, so a retry does not burn another full client timeout on a
-/// node already known to be dead.
-class RandomLoadBalancer : public LoadBalancer {
- public:
-  RandomLoadBalancer(std::vector<NodeId> nodes, Rng rng);
-
-  [[nodiscard]] NodeId pick_contact(std::optional<SliceId> slice,
-                                    SimTime now = 0) override;
-  void observe_replica(NodeId node, SliceId slice) override;
-  void node_unreachable(NodeId node) override;
-  void node_overloaded(NodeId node, SimTime until) override;
+  /// Drops every cached replica (the slice numbering changed).
+  void forget_slices() { cache_.clear(); }
 
   void set_nodes(std::vector<NodeId> nodes) {
     nodes_ = std::move(nodes);
@@ -68,39 +62,26 @@ class RandomLoadBalancer : public LoadBalancer {
   [[nodiscard]] std::size_t overloaded_count() const {
     return overloaded_until_.size();
   }
-
- protected:
-  /// True while `node` is under overload avoidance; purges expired entries.
-  [[nodiscard]] bool avoid_overloaded(NodeId node, SimTime now);
-
-  std::vector<NodeId> nodes_;
-  Rng rng_;
-
- private:
-  std::unordered_set<NodeId> unreachable_;
-  std::unordered_map<NodeId, SimTime> overloaded_until_;
-};
-
-/// §VII optimization: remembers one known replica per slice (learned from
-/// acks/replies) and contacts it directly, falling back to random. Entries
-/// are dropped on timeout feedback, so churn self-heals the cache.
-class SliceCacheLoadBalancer final : public RandomLoadBalancer {
- public:
-  SliceCacheLoadBalancer(std::vector<NodeId> nodes, Rng rng);
-
-  [[nodiscard]] NodeId pick_contact(std::optional<SliceId> slice,
-                                    SimTime now = 0) override;
-  void observe_replica(NodeId node, SliceId slice) override;
-  void node_unreachable(NodeId node) override;
-
   [[nodiscard]] std::size_t cache_size() const { return cache_.size(); }
   [[nodiscard]] std::uint64_t cache_hits() const { return hits_; }
   [[nodiscard]] std::uint64_t cache_misses() const { return misses_; }
 
  private:
+  /// True while `node` is under overload avoidance; purges expired entries.
+  [[nodiscard]] bool avoid_overloaded(NodeId node, SimTime now);
+  [[nodiscard]] NodeId pick_random(SimTime now);
+
+  std::vector<NodeId> nodes_;
+  Rng rng_;
+  std::unordered_set<NodeId> unreachable_;
+  std::unordered_map<NodeId, SimTime> overloaded_until_;
   std::unordered_map<SliceId, NodeId> cache_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };
+
+/// Older name of LoadBalancer, kept only because the benchmark driver
+/// (perfbench/fleet.cpp) still spells it this way.
+using RandomLoadBalancer = LoadBalancer;
 
 }  // namespace dataflasks::client

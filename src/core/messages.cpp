@@ -250,14 +250,14 @@ std::size_t encoded_size(const OpReply& reply) {
 }
 
 Payload encode(const OpReplyBatch& msg) {
-  std::size_t size =
-      sizeof(std::uint64_t) + sizeof(std::uint32_t) + sizeof(std::uint32_t);
+  std::size_t size = sizeof(std::uint64_t) + 3 * sizeof(std::uint32_t);
   for (const OpReply& reply : msg.replies) {
     size += encoded_size(reply);
   }
   Writer w(size);
   w.node_id(msg.replica);
   w.u32(msg.slice);
+  w.u32(msg.slice_count);
   w.vec(msg.replies, [&w](const OpReply& reply) {
     w.request_id(reply.rid);
     w.u8(static_cast<std::uint8_t>(reply.type));
@@ -272,6 +272,7 @@ std::optional<OpReplyBatch> decode_op_reply_batch(const Payload& payload) {
   OpReplyBatch msg;
   msg.replica = r.node_id();
   msg.slice = r.u32();
+  msg.slice_count = r.u32();
   bool bad = false;
   msg.replies = r.vec<OpReply>([&r, &bad]() {
     OpReply reply;

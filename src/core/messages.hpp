@@ -226,13 +226,15 @@ struct OpReply {
 
 /// Replica -> client: every operation this replica served out of one
 /// delivered batch (a single datagram regardless of batch size). Carries
-/// the replica's slice so slice-aware load balancers learn the mapping
+/// the replica's slice and the fleet's slice count, so the client learns
+/// both how to map keys to slices and which node serves which slice
 /// (paper §VII). A replica that cannot serve some get keeps that op
 /// spreading inside the slice instead of answering it; the client absorbs
 /// the resulting duplicate replies by request id (paper §V).
 struct OpReplyBatch {
   NodeId replica;
   SliceId slice = 0;
+  std::uint32_t slice_count = 1;
   std::vector<OpReply> replies;
 };
 

@@ -118,13 +118,15 @@ void RequestHandler::handle_envelope(const OpEnvelope& envelope) {
   if (!stats_replies.empty()) {
     const NodeId client(stats_replies.front().rid.client);
     const SliceId slice = slices_.slice();
+    const std::uint32_t slice_count = slices_.config().slice_count;
     chunk_by_budget(
         stats_replies,
         [](const OpReply& reply) { return encoded_size(reply); },
         [&](std::vector<OpReply>& chunk) {
           transport_.send(net::Message{
               self_, client, kOpReplyBatch,
-              encode(OpReplyBatch{self_, slice, std::move(chunk)})});
+              encode(OpReplyBatch{self_, slice, slice_count,
+                                  std::move(chunk)})});
         });
   }
   // Admission gate for the envelope's client work. Stats (above) were
@@ -289,7 +291,8 @@ dissemination::DeliverResult RequestHandler::handle_ops_delivery(
     return dissemination::DeliverResult::kStop;
   }
 
-  OpReplyBatch batch{self_, slices_.slice(), {}};
+  OpReplyBatch batch{self_, slices_.slice(), slices_.config().slice_count,
+                     {}};
   ReplicatePush push;
   std::vector<RoutedOp> unserved_gets;
   bool has_writes = false;
@@ -448,7 +451,7 @@ dissemination::DeliverResult RequestHandler::handle_ops_delivery(
           transport_.send(net::Message{
               self_, client, kOpReplyBatch,
               encode(OpReplyBatch{batch.replica, batch.slice,
-                                  std::move(chunk)})});
+                                  batch.slice_count, std::move(chunk)})});
         });
   }
 

@@ -108,7 +108,7 @@ void SprayRouter::relay_global(std::uint64_t id, SliceId target, NodeId origin,
   const Payload frame =
       encode_frame(id, target, origin, hops, in_slice_phase, payload);
 
-  if (options_.use_directory && directory_) {
+  if (directory_) {
     if (const auto contact = directory_(target);
         contact && *contact != self_) {
       // Known member of the target slice: jump straight to it and keep a

@@ -31,10 +31,6 @@ struct SprayOptions {
   /// counter resets when a message first enters its target slice.
   std::uint8_t max_slice_hops = 8;
   std::size_t dedup_capacity = 1 << 15;
-  /// When true and the node knows a contact in the target slice (from its
-  /// slice directory), one copy is sent straight to that contact and random
-  /// relaying is reduced — the paper's §VII cache optimization.
-  bool use_directory = false;
 };
 
 /// Hop budget sufficient for a fanout-f spray to cover ~beta * slice_count
@@ -60,7 +56,9 @@ class SprayRouter {
   using SliceFn = std::function<SliceId()>;
   /// Supplies up to `count` known members of this node's own slice.
   using SlicePeersFn = std::function<std::vector<NodeId>(std::size_t count)>;
-  /// Optional: a recently seen contact in the given slice (routing shortcut).
+  /// Optional: a recently seen contact in the given slice. When it names
+  /// one, a discovery relay sends one copy straight to it and keeps a
+  /// single random relay as a hedge — the paper's §VII cache optimization.
   using DirectoryFn = std::function<std::optional<NodeId>(SliceId)>;
 
   SprayRouter(NodeId self, net::Transport& transport, pss::PeerSampling& pss,

@@ -89,18 +89,9 @@ void Cluster::apply_churn_plan(const std::vector<sim::ChurnEvent>& plan) {
   }
 }
 
-client::Client& Cluster::add_client(client::ClientOptions options,
-                                    const std::string& balancer) {
-  std::unique_ptr<client::LoadBalancer> lb;
-  if (balancer == "slice-cache") {
-    lb = std::make_unique<client::SliceCacheLoadBalancer>(
-        node_ids(), rng_.fork(next_client_id_));
-  } else {
-    ensure(balancer == "random", "unknown balancer policy: " + balancer);
-    lb = std::make_unique<client::RandomLoadBalancer>(
-        node_ids(), rng_.fork(next_client_id_));
-  }
-  balancers_.push_back(std::move(lb));
+client::Client& Cluster::add_client(client::ClientOptions options) {
+  balancers_.push_back(std::make_unique<client::LoadBalancer>(
+      node_ids(), rng_.fork(next_client_id_)));
   clients_.push_back(std::make_unique<client::Client>(
       NodeId(next_client_id_++), *transport_, simulator_, *balancers_.back(),
       rng_.fork(0xc11e47), options));

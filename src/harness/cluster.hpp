@@ -59,10 +59,9 @@ class Cluster {
   /// Schedules a churn plan's events onto the simulator.
   void apply_churn_plan(const std::vector<sim::ChurnEvent>& plan);
 
-  /// Creates a client backed by the given balancer ("random" or
-  /// "slice-cache"). The cluster owns both.
-  client::Client& add_client(client::ClientOptions options = {},
-                             const std::string& balancer = "random");
+  /// Creates a client with its own load balancer over every node. The
+  /// cluster owns both.
+  client::Client& add_client(client::ClientOptions options = {});
   [[nodiscard]] std::size_t client_count() const { return clients_.size(); }
   [[nodiscard]] client::Client& client(std::size_t index) {
     return *clients_[index];

@@ -414,13 +414,13 @@ void UdpTransport::on_readable() {
       }
       const int received = ::recvmmsg(fd_, msgs, kIoBatch, 0, nullptr);
       if (received <= 0) return;  // EAGAIN: drained
-      batched_recv_.fetch_add(static_cast<std::uint64_t>(received),
-                              std::memory_order_relaxed);
+      std::uint64_t delivered = 0;
       for (int i = 0; i < received; ++i) {
-        process_datagram(ByteView(recv_buffers_.data() + i * slot,
-                                  msgs[i].msg_len),
-                         froms[i]);
+        delivered += process_datagram(
+            ByteView(recv_buffers_.data() + i * slot, msgs[i].msg_len),
+            froms[i]);
       }
+      batched_recv_.fetch_add(delivered, std::memory_order_relaxed);
       if (static_cast<std::size_t>(received) < kIoBatch) return;  // drained
     }
   }
@@ -441,26 +441,26 @@ void UdpTransport::on_readable() {
   }
 }
 
-void UdpTransport::process_datagram(ByteView datagram,
+bool UdpTransport::process_datagram(ByteView datagram,
                                     const sockaddr_in& from) {
   auto msg = decode_frame(datagram);
   if (!msg) {
     decode_failures_.fetch_add(1, std::memory_order_relaxed);
     total_dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
+    return false;
   }
   // Discovery frames are transport business, not protocol traffic.
   if (msg->type == kAddrProbe) {
     handle_probe(*msg, from);
-    return;
+    return false;
   }
   if (msg->type == kAddrProbeReply) {
     handle_probe_reply(*msg, from);
-    return;
+    return false;
   }
   if (msg->type == kStatsRequest) {
     handle_stats_request(*msg, from);
-    return;
+    return false;
   }
   // Record the sender's address so replies (and client acks) route
   // without static configuration; pinned routes are not clobbered.
@@ -469,10 +469,11 @@ void UdpTransport::process_datagram(ByteView datagram,
   const auto it = handlers_.find(msg->dst);
   if (it == handlers_.end()) {
     total_dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
+    return false;
   }
   total_delivered_.fetch_add(1, std::memory_order_relaxed);
   it->second(*msg);
+  return true;
 }
 
 void UdpTransport::register_handler(NodeId node, Handler handler) {

@@ -198,8 +198,11 @@ class UdpTransport final : public Transport {
   [[nodiscard]] std::uint64_t decode_failures() const {
     return decode_failures_.load(std::memory_order_relaxed);
   }
-  /// Datagrams that traveled inside a batched syscall (0 when batch_io is
-  /// off or unsupported) — observability for the mmsg hot path.
+  /// Delivered datagrams (those counted by total_delivered) that traveled
+  /// inside a batched syscall (0 when batch_io is off or unsupported) —
+  /// observability for the mmsg hot path. Probes, stats frames and decode
+  /// failures taken in by a batch do not count, so the share of delivered
+  /// datagrams that came batched never exceeds 1.
   [[nodiscard]] std::uint64_t batched_recv() const {
     return batched_recv_.load(std::memory_order_relaxed);
   }
@@ -212,7 +215,8 @@ class UdpTransport final : public Transport {
   void on_readable();
   /// Decodes one raw datagram and routes it (discovery frames, handler
   /// dispatch) — shared by the single-syscall and recvmmsg drain paths.
-  void process_datagram(ByteView datagram, const sockaddr_in& from);
+  /// True when a handler took it (it counted as delivered).
+  bool process_datagram(ByteView datagram, const sockaddr_in& from);
 
   void send_frame_to(const Message& msg, const sockaddr_in& to);
   void enqueue_send(Payload frame, const sockaddr_in& to);

@@ -75,7 +75,7 @@ void RealTimeRuntime::post_from_any_thread(UniqueFunction fn) {
 }
 
 void RealTimeRuntime::stop() {
-  stop_.store(true, std::memory_order_relaxed);
+  stop_.store(true, std::memory_order_release);
   signal_wake();
 }
 
@@ -250,7 +250,7 @@ std::uint64_t RealTimeRuntime::poll_io(SimTime timeout) {
   for (std::size_t i = 0; i < ready_scratch_.size(); ++i) {
     const int fd = ready_scratch_[i].fd;
     const short revents = ready_scratch_[i].revents;
-    if (stop_.load(std::memory_order_relaxed)) break;
+    if (stop_.load(std::memory_order_acquire)) break;
     // Errors and hangups wake both directions: a reader learns about the
     // close, and a connection mid-connect learns about the failure.
     if ((revents & (POLLIN | POLLERR | POLLHUP)) != 0 &&
@@ -282,18 +282,18 @@ std::uint64_t RealTimeRuntime::poll_io(SimTime timeout) {
 std::uint64_t RealTimeRuntime::run_until(SimTime deadline) {
   stop_.store(false, std::memory_order_relaxed);
   std::uint64_t executed = 0;
-  while (!stop_.load(std::memory_order_relaxed)) {
+  while (!stop_.load(std::memory_order_acquire)) {
     // Fire everything due by the current wall clock.
     const SimTime wall = now();
     while (!queue_.empty() && queue_.next_time() <= wall &&
-           !stop_.load(std::memory_order_relaxed)) {
+           !stop_.load(std::memory_order_acquire)) {
       EventQueue::Event event = queue_.pop();
       if (event.runnable()) {
         event.fn();
         ++executed;
       }
     }
-    if (stop_.load(std::memory_order_relaxed)) break;
+    if (stop_.load(std::memory_order_acquire)) break;
 
     const SimTime after = now();
     if (after >= deadline) break;

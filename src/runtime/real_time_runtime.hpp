@@ -145,6 +145,8 @@ class RealTimeRuntime final : public Runtime {
   std::vector<pollfd> ready_scratch_;
   bool dispatching_ = false;
   std::vector<DeferredOp> deferred_;
+  /// Release/acquire: a loop that sees the flag also sees everything its
+  /// stopper wrote before stop().
   std::atomic<bool> stop_{false};
 
   // Cross-thread wake-up plumbing: wake_rx_ is watched by the poll loop;

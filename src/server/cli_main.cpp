@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
     udp.probe_peer(NodeId(peer.id));
   }
 
-  client::RandomLoadBalancer balancer(contact_ids, rt.rng().fork(1));
+  client::LoadBalancer balancer(contact_ids, rt.rng().fork(1));
   client::ClientOptions options;
   // Every attempt must fit inside the run window below, so the failure
   // callback always fires (and prints) before the deadline.

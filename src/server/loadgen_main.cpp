@@ -52,7 +52,7 @@ int usage() {
       "         [--value-bytes N | --value-size N] [--duration-ms N]\n"
       "         [--rate OPS_PER_SEC]\n"
       "         [--timeout-ms N] [--deadline-ms N] [--ttl-ms N]\n"
-      "         [--slices K] [--seed N]\n"
+      "         [--seed N]\n"
       "         [--skip-load] [--sweep R1,R2,...] [--print-server-stats]\n"
       "         [--out FILE]\n"
       "closed loop (default): `concurrency` batch streams per thread, each\n"
@@ -87,7 +87,6 @@ struct LoadgenConfig {
   std::uint32_t ttl_ms = 0;
   /// Offered-load sweep: one open-loop run per rate, knee reported.
   std::vector<double> sweep;
-  std::uint32_t slices = 0;  ///< slice-aware balancing hint (0 = off)
   std::uint64_t seed = 0;
   bool skip_load = false;
   bool print_server_stats = false;
@@ -223,11 +222,10 @@ void run_worker(std::size_t index, const LoadgenConfig& config,
   const auto pid = static_cast<std::uint64_t>(::getpid());
   const NodeId client_id(0x10AD000000000000ULL | ((pid & 0xFF) << 16) |
                          ((index + id_salt) & 0xFFFF));
-  client::RandomLoadBalancer balancer(contacts, rt.rng().fork(1));
+  client::LoadBalancer balancer(contacts, rt.rng().fork(1));
   client::ClientOptions options;
   options.request_timeout = config.timeout_ms * kMillis;
   options.max_attempts = 3;
-  options.slice_count_hint = config.slices;
   options.op_deadline =
       config.deadline_ms > 0 ? config.deadline_ms * kMillis : 0;
   client::Client client(client_id, transport, rt, balancer, rt.rng().fork(2),
@@ -408,7 +406,7 @@ void print_server_stats(const LoadgenConfig& config) {
   }
   const NodeId client_id(0x10AD570000000000ULL |
                          (static_cast<std::uint64_t>(::getpid()) & 0xFFFF));
-  client::RandomLoadBalancer balancer(contacts, rt.rng().fork(1));
+  client::LoadBalancer balancer(contacts, rt.rng().fork(1));
   client::ClientOptions options;
   options.request_timeout = config.timeout_ms * kMillis;
   client::Client client(client_id, transport, rt, balancer, rt.rng().fork(2),
@@ -507,9 +505,6 @@ int main(int argc, char** argv) {
         config.sweep.push_back(rate);
         pos = comma + 1;
       }
-    } else if (arg == "--slices") {
-      if (!next_u64(u64)) return usage();
-      config.slices = static_cast<std::uint32_t>(u64);
     } else if (arg == "--seed") {
       if (!next_u64(u64)) return usage();
       config.seed = u64;

@@ -16,6 +16,8 @@
 // while membership/gossip stays on shard 0 (see server/shard_group.hpp).
 // --shards 1 is the classic single-runtime server, unchanged. Runs until
 // SIGINT/SIGTERM. See src/server/config.hpp for the full flag reference.
+#include <pthread.h>
+
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -47,6 +49,14 @@ void handle_signal(int) {
   if (g_group != nullptr) g_group->stop();
 }
 
+sigset_t stop_signals() {
+  sigset_t set;
+  sigemptyset(&set);
+  sigaddset(&set, SIGINT);
+  sigaddset(&set, SIGTERM);
+  return set;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -74,6 +84,13 @@ int main(int argc, char** argv) {
     set_global_log_level(*level);
   }
   Logger log("server");
+
+  // The stop signals are taken only on this thread, and only while it
+  // runs shard 0's loop. Every thread spawned below (shard workers, the
+  // snapshot writer) inherits the blocked mask, so the handler never runs
+  // on a thread that outlives the group, nor on this one mid-teardown.
+  const sigset_t signals = stop_signals();
+  pthread_sigmask(SIG_BLOCK, &signals, nullptr);
 
   const std::size_t shards = config.resolved_shards();
 
@@ -477,7 +494,13 @@ int main(int argc, char** argv) {
               group.shard_count());
   std::fflush(stdout);
 
+  // Unblocked from inside the loop: run() clears the stop flag on entry,
+  // so a signal taken before it would be lost.
+  rt.schedule_after(0, [&signals]() {
+    pthread_sigmask(SIG_UNBLOCK, &signals, nullptr);
+  });
   group.run();
+  pthread_sigmask(SIG_BLOCK, &signals, nullptr);
 
   // SIGINT/SIGTERM stopped every shard loop; join the workers before any
   // teardown so no executor touches the store or a socket mid-destruction.

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 
 #include <algorithm>
+#include <thread>
 #include <utility>
 
 #include "common/ensure.hpp"
@@ -167,24 +168,39 @@ void ShardGroup::start(const std::vector<NodeId>& peer_seeds) {
 }
 
 void ShardGroup::start_workers() {
+  // Returns only once every worker loop runs: run() clears its runtime's
+  // stop flag on entry, so a stop() landing before that would be lost and
+  // shutdown() would join a loop that never ends.
+  std::atomic<std::size_t> running{0};
   for (std::size_t k = 1; k < shards_.size(); ++k) {
     Shard& shard = *shards_[k];
+    shard.rt->schedule_after(0, [&running]() { running.fetch_add(1); });
     shard.thread = std::thread([&shard]() { shard.rt->run(); });
   }
+  while (running.load() + 1 < shards_.size()) std::this_thread::yield();
 }
 
 void ShardGroup::run() { shards_[0]->rt->run(); }
 
 void ShardGroup::stop() {
-  // Async-signal-safe: each stop() is an atomic store plus an eventfd
-  // write; shards_ itself is immutable after construction.
+  // Async-signal-safe: lock-free atomics plus one eventfd write per shard;
+  // shards_ itself is immutable after construction. The count goes up
+  // before shard 0 can stop, so shutdown() on the owner thread sees it.
+  stops_in_progress_.fetch_add(1, std::memory_order_acq_rel);
   for (auto& shard : shards_) shard->rt->stop();
+  stops_in_progress_.fetch_sub(1, std::memory_order_release);
 }
 
 void ShardGroup::shutdown() {
   stop();
   for (auto& shard : shards_) {
     if (shard->thread.joinable()) shard->thread.join();
+  }
+  // A stop() from another thread (a hosting destructor, a signal handler)
+  // may still be walking shards_. It finishes in a few syscalls; no lock,
+  // because a signal handler cannot take one.
+  while (stops_in_progress_.load(std::memory_order_acquire) != 0) {
+    std::this_thread::yield();
   }
 }
 
@@ -498,7 +514,8 @@ void ShardGroup::execute_ops(std::size_t k, std::vector<core::RoutedOp> ops,
     }
   }
 
-  core::OpReplyBatch batch{self, shard.snapshot.my_slice, {}};
+  core::OpReplyBatch batch{self, shard.snapshot.my_slice,
+                           shard.snapshot.slice_count, {}};
   core::ReplicatePush push;
   std::vector<core::RoutedOp> unserved_gets;
 
@@ -618,7 +635,7 @@ void ShardGroup::execute_ops(std::size_t k, std::vector<core::RoutedOp> ops,
           net::Message reply{self, client, core::kOpReplyBatch,
                              core::encode(core::OpReplyBatch{
                                  batch.replica, batch.slice,
-                                 std::move(chunk)})};
+                                 batch.slice_count, std::move(chunk)})};
           if (via_stream) {
             send_via_dual(k, std::move(reply));
           } else {

@@ -176,15 +176,22 @@ class ShardGroup {
   /// schedules snapshot publishing + per-shard admission ticks. Call on
   /// the boot thread BEFORE start_workers().
   void start(const std::vector<NodeId>& peer_seeds);
-  /// Spawns the worker shard threads (no-op with one shard).
+  /// Spawns the worker shard threads (no-op with one shard) and returns
+  /// once every worker loop is running.
   void start_workers();
-  /// Runs shard 0's loop on the calling thread until stop().
+  /// Runs shard 0's loop on the calling thread until stop(). A stop()
+  /// that lands before the loop has started is lost (the runtime clears
+  /// its stop flag on entry), so dataflasks_server unblocks its stop
+  /// signals from an event inside the loop.
   void run();
-  /// Stops every shard's loop. Async-signal-safe (atomic flag + eventfd
-  /// write per runtime), so it is callable straight from a SIGINT/SIGTERM
-  /// handler — each loop wakes promptly and exits.
+  /// Stops every shard's loop. Async-signal-safe (lock-free atomics +
+  /// eventfd write per runtime), so it is callable straight from a
+  /// SIGINT/SIGTERM handler — each loop wakes promptly and exits. Callable
+  /// from any thread while the group is alive: shutdown() waits for every
+  /// stop() still in progress, so the group is never freed under one.
   void stop();
-  /// Joins the worker threads. Call after run() returns, before teardown.
+  /// Joins the worker threads and waits out any stop() still running on
+  /// another thread. Call after run() returns, before teardown.
   void shutdown();
 
   /// Hot-path per-op metrics shared by the node and every executor (obs
@@ -258,6 +265,10 @@ class ShardGroup {
   std::unique_ptr<core::Node> node_;
   const core::OpHotMetrics* hot_ = nullptr;
   runtime::TimerHandle snapshot_timer_;
+  /// stop() calls that have not returned yet. Stopping shard 0 lets its
+  /// owner thread leave run() and tear the group down while the stopping
+  /// thread still walks the other shards; shutdown() waits for zero.
+  std::atomic<std::uint32_t> stops_in_progress_{0};
 };
 
 }  // namespace dataflasks::server

@@ -358,8 +358,7 @@ TEST_F(ScriptedServerTest, OverloadReplyBacksOffThenFailsDefinitively) {
   // Regression (explicit-negative vs. silence): the contact ANSWERED, so
   // it must be marked overloaded — not unreachable. node_unreachable would
   // have left the overload map empty.
-  auto& balancer =
-      static_cast<client::RandomLoadBalancer&>(cluster_->balancer(0));
+  auto& balancer = cluster_->balancer(0);
   EXPECT_EQ(balancer.overloaded_count(), 1u);
 }
 
@@ -379,8 +378,7 @@ TEST_F(ScriptedServerTest, SilentContactIsStillMarkedUnreachable) {
   EXPECT_FALSE(result->ok);
   EXPECT_EQ(result->attempts, 2u);
   EXPECT_EQ(client.metrics().counter_value("client.overload_replies"), 0u);
-  auto& balancer =
-      static_cast<client::RandomLoadBalancer&>(cluster_->balancer(0));
+  auto& balancer = cluster_->balancer(0);
   EXPECT_EQ(balancer.overloaded_count(), 0u);
 }
 
@@ -473,7 +471,7 @@ TEST_F(ScriptedServerTest, V1ClientFailsDefinitivelyOnOverloadFrame) {
 // ---- balancer overload feedback ---------------------------------------------
 
 TEST(LoadBalancerOverload, AvoidsOverloadedContactUntilExpiry) {
-  client::RandomLoadBalancer lb({NodeId(1), NodeId(2), NodeId(3)}, Rng(1));
+  client::LoadBalancer lb({NodeId(1), NodeId(2), NodeId(3)}, Rng(1));
   lb.node_overloaded(NodeId(2), 10 * kSeconds);
   for (int i = 0; i < 100; ++i) {
     EXPECT_NE(lb.pick_contact(std::nullopt, kSeconds), NodeId(2));
@@ -488,7 +486,7 @@ TEST(LoadBalancerOverload, AvoidsOverloadedContactUntilExpiry) {
 }
 
 TEST(LoadBalancerOverload, SuccessFeedbackClearsOverload) {
-  client::RandomLoadBalancer lb({NodeId(1), NodeId(2)}, Rng(1));
+  client::LoadBalancer lb({NodeId(1), NodeId(2)}, Rng(1));
   lb.node_overloaded(NodeId(2), 10 * kSeconds);
   EXPECT_EQ(lb.overloaded_count(), 1u);
   lb.observe_replica(NodeId(2), 0);
@@ -498,7 +496,7 @@ TEST(LoadBalancerOverload, SuccessFeedbackClearsOverload) {
 TEST(LoadBalancerOverload, OverloadedAnswerClearsUnreachable) {
   // An overload reply proves liveness: the node moves from the
   // unreachable set to the (time-bounded) overload set.
-  client::RandomLoadBalancer lb({NodeId(1), NodeId(2)}, Rng(1));
+  client::LoadBalancer lb({NodeId(1), NodeId(2)}, Rng(1));
   lb.node_unreachable(NodeId(2));
   lb.node_overloaded(NodeId(2), 5 * kSeconds);
   EXPECT_EQ(lb.overloaded_count(), 1u);
@@ -511,8 +509,7 @@ TEST(LoadBalancerOverload, OverloadedAnswerClearsUnreachable) {
 }
 
 TEST(LoadBalancerOverload, SliceCacheSkipsOverloadedEntryWithoutEvicting) {
-  client::SliceCacheLoadBalancer lb({NodeId(1), NodeId(2), NodeId(3)},
-                                    Rng(1));
+  client::LoadBalancer lb({NodeId(1), NodeId(2), NodeId(3)}, Rng(1));
   lb.observe_replica(NodeId(2), 7);
   EXPECT_EQ(lb.pick_contact(SliceId{7}, kSeconds), NodeId(2));
   lb.node_overloaded(NodeId(2), 10 * kSeconds);

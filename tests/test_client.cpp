@@ -1,8 +1,10 @@
-// Client library tests: load balancer policies in isolation, then the full
+// Client library tests: the load balancer in isolation, then the full
 // client against a real cluster — acks, multi-reply deduplication (paper
-// §V), timeouts and retries.
+// §V), timeouts and retries, and routing by the learned slice count.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
 #include <set>
 
 #include "client/client.hpp"
@@ -17,18 +19,18 @@ namespace {
 // ---- load balancers -------------------------------------------------------------
 
 TEST(RandomLB, PicksFromNodeList) {
-  RandomLoadBalancer lb({NodeId(1), NodeId(2), NodeId(3)}, Rng(1));
+  LoadBalancer lb({NodeId(1), NodeId(2), NodeId(3)}, Rng(1));
   std::set<std::uint64_t> seen;
   for (int i = 0; i < 200; ++i) seen.insert(lb.pick_contact(std::nullopt).value);
   EXPECT_EQ(seen, (std::set<std::uint64_t>{1, 2, 3}));
 }
 
 TEST(RandomLB, EmptyListRejected) {
-  EXPECT_THROW(RandomLoadBalancer({}, Rng(1)), InvariantViolation);
+  EXPECT_THROW(LoadBalancer({}, Rng(1)), InvariantViolation);
 }
 
 TEST(SliceCacheLB, UsesCachedReplicaForKnownSlice) {
-  SliceCacheLoadBalancer lb({NodeId(1), NodeId(2), NodeId(3)}, Rng(1));
+  LoadBalancer lb({NodeId(1), NodeId(2), NodeId(3)}, Rng(1));
   lb.observe_replica(NodeId(2), /*slice=*/7);
   for (int i = 0; i < 20; ++i) {
     EXPECT_EQ(lb.pick_contact(SliceId{7}), NodeId(2));
@@ -37,14 +39,14 @@ TEST(SliceCacheLB, UsesCachedReplicaForKnownSlice) {
 }
 
 TEST(SliceCacheLB, FallsBackToRandomOnMiss) {
-  SliceCacheLoadBalancer lb({NodeId(1), NodeId(2)}, Rng(1));
+  LoadBalancer lb({NodeId(1), NodeId(2)}, Rng(1));
   const NodeId pick = lb.pick_contact(SliceId{9});
   EXPECT_TRUE(pick == NodeId(1) || pick == NodeId(2));
   EXPECT_EQ(lb.cache_misses(), 1u);
 }
 
 TEST(SliceCacheLB, UnreachableNodeEvicted) {
-  SliceCacheLoadBalancer lb({NodeId(1), NodeId(2)}, Rng(1));
+  LoadBalancer lb({NodeId(1), NodeId(2)}, Rng(1));
   lb.observe_replica(NodeId(1), 3);
   lb.observe_replica(NodeId(1), 4);
   EXPECT_EQ(lb.cache_size(), 2u);
@@ -393,16 +395,18 @@ TEST_F(ClientClusterTest, SessionBatchSurfaces) {
 }
 
 TEST_F(ClientClusterTest, SliceCacheBalancerLearnsFromAcks) {
-  ClientOptions opts;
-  opts.slice_count_hint = 4;  // enables client-side slice computation
-  auto& client = cluster_->add_client(opts, "slice-cache");
+  auto& client = cluster_->add_client();
+  EXPECT_EQ(client.slice_count(), 0u);
 
   for (int i = 0; i < 20; ++i) {
     client.put("warm" + std::to_string(i), Bytes{1}, 1, nullptr);
   }
   cluster_->run_for(30 * kSeconds);
 
-  auto& lb = static_cast<SliceCacheLoadBalancer&>(cluster_->balancer(0));
+  // The replies taught the client both the slice count and a replica per
+  // slice; nothing was configured.
+  EXPECT_EQ(client.slice_count(), 4u);
+  auto& lb = cluster_->balancer(0);
   EXPECT_GT(lb.cache_size(), 0u);
 
   const auto hits_before = lb.cache_hits();
@@ -411,6 +415,110 @@ TEST_F(ClientClusterTest, SliceCacheBalancerLearnsFromAcks) {
   }
   cluster_->run_for(30 * kSeconds);
   EXPECT_GT(lb.cache_hits(), hits_before);
+}
+
+/// Request-category messages sent by every cluster node and by `client`.
+std::uint64_t request_msgs_sent(harness::Cluster& cluster, NodeId client) {
+  std::vector<NodeId> ids = cluster.node_ids();
+  ids.push_back(client);
+  std::uint64_t sent = 0;
+  for (const NodeId id : ids) {
+    sent += cluster.transport()
+                .stats_for_category(id, net::MsgCategory::kRequest)
+                .sent;
+  }
+  return sent;
+}
+
+TEST_F(ClientClusterTest, WarmSlicePutReachesItsSliceInOneHop) {
+  auto& client = cluster_->add_client();
+  std::optional<PutResult> first;
+  client.put("learn", Bytes{1}, 1, [&](const PutResult& r) { first = r; });
+  cluster_->run_for(5 * kSeconds);
+  ASSERT_TRUE(first.has_value() && first->ok);
+  EXPECT_EQ(client.slice_count(), 4u);
+
+  // One put per key warms the key's slice; the second put of the key must
+  // then go straight to a replica: the envelope, the ack and the
+  // replica's immediate pushes, with no discovery spray.
+  for (int i = 0; i < 8; ++i) {
+    const Key key = "hop" + std::to_string(i);
+    bool warmed = false;
+    client.put(key, Bytes{1}, 1, [&](const PutResult& r) { warmed = r.ok; });
+    cluster_->run_for(5 * kSeconds);
+    ASSERT_TRUE(warmed) << key;
+
+    const std::uint64_t before = request_msgs_sent(*cluster_, client.id());
+    std::optional<PutResult> second;
+    client.put(key, Bytes{2}, 2, [&](const PutResult& r) { second = r; });
+    cluster_->run_for(5 * kSeconds);
+    ASSERT_TRUE(second.has_value() && second->ok) << key;
+    EXPECT_EQ(second->attempts, 1u) << key;
+    EXPECT_LE(request_msgs_sent(*cluster_, client.id()) - before, 5u) << key;
+  }
+}
+
+TEST_F(ClientClusterTest, CrashedCachedReplicaCostsOneTimeout) {
+  ClientOptions opts;
+  opts.request_timeout = 2 * kSeconds;
+  opts.max_attempts = 4;
+  auto& client = cluster_->add_client(opts);
+
+  std::optional<PutResult> warm;
+  client.put("cached", Bytes{1}, 1, [&](const PutResult& r) { warm = r; });
+  cluster_->run_for(5 * kSeconds);
+  ASSERT_TRUE(warm.has_value() && warm->ok);
+  const NodeId cached = warm->replica;
+  cluster_->crash(static_cast<std::size_t>(cached.value));
+
+  // The first put goes to the dead cached replica, times out once, and
+  // the retry finds a live contact.
+  std::optional<PutResult> after_crash;
+  client.put("cached", Bytes{2}, 2,
+             [&](const PutResult& r) { after_crash = r; });
+  cluster_->run_for(10 * kSeconds);
+  ASSERT_TRUE(after_crash.has_value() && after_crash->ok);
+  EXPECT_EQ(after_crash->attempts, 2u);
+  EXPECT_NE(after_crash->replica, cached);
+
+  // The eviction stuck: the next op routes elsewhere on its first try.
+  std::optional<PutResult> next;
+  client.put("cached", Bytes{3}, 3, [&](const PutResult& r) { next = r; });
+  cluster_->run_for(10 * kSeconds);
+  ASSERT_TRUE(next.has_value() && next->ok);
+  EXPECT_EQ(next->attempts, 1u);
+  EXPECT_NE(next->replica, cached);
+}
+
+TEST(OneSliceRouting, EveryNodeStaysAContact) {
+  // k = 1: every node is in the key's slice, so the client must keep the
+  // paper's uniform pick instead of pinning itself to the first replica
+  // that answered.
+  harness::ClusterOptions opts;
+  opts.node_count = 3;
+  opts.seed = 11;
+  opts.node.slice_config = {1, 1};
+  harness::Cluster cluster(opts);
+  cluster.start_all();
+  cluster.run_for(30 * kSeconds);
+  auto& client = cluster.add_client();
+
+  constexpr int kOps = 300;
+  std::map<NodeId, int> contacts;
+  for (int i = 0; i < kOps; ++i) {
+    std::optional<PutResult> result;
+    client.put("one" + std::to_string(i), Bytes{1}, 1,
+               [&](const PutResult& r) { result = r; });
+    cluster.run_for(kSeconds);
+    ASSERT_TRUE(result.has_value() && result->ok) << i;
+    // A put's contact is in the (only) slice, so it is the acking replica.
+    ++contacts[result->replica];
+  }
+  EXPECT_EQ(client.slice_count(), 1u);
+  ASSERT_EQ(contacts.size(), 3u);
+  for (const auto& [node, count] : contacts) {
+    EXPECT_GE(count, kOps / 5) << "node " << node.value;
+  }
 }
 
 // ---- compare-and-put (protocol v2) ------------------------------------------

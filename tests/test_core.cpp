@@ -78,6 +78,7 @@ TEST(Messages, OpReplyBatchRoundTrip) {
   OpReplyBatch batch;
   batch.replica = NodeId(2);
   batch.slice = 3;
+  batch.slice_count = 12;
   batch.replies.push_back(OpReply{RequestId{1, 1}, OpType::kPut,
                                   OpStatus::kOk, store::Object{"k", 4, {}}});
   batch.replies.push_back(
@@ -91,11 +92,28 @@ TEST(Messages, OpReplyBatchRoundTrip) {
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->replica, NodeId(2));
   EXPECT_EQ(decoded->slice, 3u);
+  EXPECT_EQ(decoded->slice_count, 12u);
   ASSERT_EQ(decoded->replies.size(), 3u);
   EXPECT_EQ(decoded->replies[0].status, OpStatus::kOk);
   EXPECT_EQ(decoded->replies[0].object.version, 4u);
   EXPECT_EQ(decoded->replies[1].object.value, value_of("v"));
   EXPECT_EQ(decoded->replies[2].status, OpStatus::kDeleted);
+}
+
+TEST(Messages, TruncatedOpReplyBatchRejected) {
+  OpReplyBatch batch;
+  batch.replica = NodeId(5);
+  batch.slice = 1;
+  batch.slice_count = 4;
+  batch.replies.push_back(OpReply{RequestId{1, 1}, OpType::kPut,
+                                  OpStatus::kOk, store::Object{"k", 4, {}}});
+  const Payload encoded = encode(batch);
+  ASSERT_TRUE(decode_op_reply_batch(encoded).has_value());
+  // Every strict prefix, including one cut inside the slice count, fails.
+  for (std::size_t len = 0; len < encoded.size(); ++len) {
+    EXPECT_FALSE(decode_op_reply_batch(encoded.subview(0, len)).has_value())
+        << "prefix of " << len << " bytes decoded";
+  }
 }
 
 TEST(Messages, ReplicatePushCarriesBatchesAndTombstones) {

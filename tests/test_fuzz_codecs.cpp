@@ -97,6 +97,7 @@ std::vector<CodecCase> all_codecs() {
          core::OpReplyBatch batch;
          batch.replica = NodeId(2);
          batch.slice = 3;
+         batch.slice_count = 10;
          batch.replies.push_back(
              core::OpReply{RequestId{1, 1}, core::OpType::kPut,
                            core::OpStatus::kOk, store::Object{"key", 4, {}}});

@@ -83,11 +83,6 @@ TEST(ClusterTest, ReplicaAuditsCountOnlyRunningNodes) {
   EXPECT_EQ(cluster.replica_count("audited", 1), before - 1);
 }
 
-TEST(ClusterTest, UnknownBalancerPolicyRejected) {
-  Cluster cluster(tiny(6));
-  EXPECT_THROW(cluster.add_client({}, "round-robin"), InvariantViolation);
-}
-
 // ---- Runner -------------------------------------------------------------------
 
 struct RunnerFixture : public ::testing::Test {

@@ -82,7 +82,7 @@ TEST(RealCluster, LoopbackPutQuorumGetAndFullReplication) {
     client_transport.add_peer(NodeId(i), "127.0.0.1",
                               nodes[i].transport->local_port());
   }
-  client::RandomLoadBalancer balancer(all_ids, Rng(7));
+  client::LoadBalancer balancer(all_ids, Rng(7));
   client::ClientOptions client_options;
   client_options.request_timeout = 300 * kMillis;
   client_options.max_attempts = 4;
@@ -230,7 +230,7 @@ TEST(RealCluster, HealsAddressesAfterRestartOnNewPort) {
     client_transport.add_peer(NodeId(i), "127.0.0.1",
                               nodes[i].transport->local_port());
   }
-  client::RandomLoadBalancer balancer({NodeId(0), NodeId(1)}, Rng(7));
+  client::LoadBalancer balancer({NodeId(0), NodeId(1)}, Rng(7));
   client::ClientOptions client_options;
   client_options.request_timeout = 300 * kMillis;
   client_options.max_attempts = 4;
@@ -342,7 +342,7 @@ TEST(RealCluster, MebibyteValueRoundTripsOverStreams) {
     client_udp.add_peer(NodeId(i), "127.0.0.1", nodes[i]->udp->local_port());
     client_udp.probe_peer(NodeId(i));
   }
-  client::RandomLoadBalancer balancer(all_ids, Rng(7));
+  client::LoadBalancer balancer(all_ids, Rng(7));
   client::ClientOptions client_options;
   client_options.request_timeout = 500 * kMillis;
   client_options.max_attempts = 4;
@@ -454,7 +454,7 @@ TEST(RealCluster, MixedFleetFallsBackToUdp) {
     client_transport.add_peer(NodeId(i), "127.0.0.1",
                               nodes[i]->udp->local_port());
   }
-  client::RandomLoadBalancer balancer(all_ids, Rng(7));
+  client::LoadBalancer balancer(all_ids, Rng(7));
   client::ClientOptions client_options;
   client_options.request_timeout = 300 * kMillis;
   client_options.max_attempts = 4;

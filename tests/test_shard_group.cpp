@@ -6,7 +6,14 @@
 // must be the classic node wiring (no router, counters in the node
 // registry), which is what keeps the pre-refactor behavior reachable.
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
+#include <sys/resource.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
@@ -68,7 +75,7 @@ struct TestClient {
 
   runtime::RealTimeRuntime rt;
   net::UdpTransport transport;
-  client::RandomLoadBalancer balancer;
+  client::LoadBalancer balancer;
   client::Client client;
 
   /// Runs the client loop until `done` flips (the callback stops it).
@@ -182,6 +189,57 @@ TEST(ShardGroup, FourShardsServeOpsAcrossPartitionsOverRealUdp) {
   EXPECT_GE(merged.counter_value("shard.ops_cross_shard"), 1u)
       << "cross-shard mailbox path never engaged";
   EXPECT_GE(group.totals().mailbox_drained, 1u);
+}
+
+/// Pins the calling thread to one CPU. Best effort: where the cpuset
+/// forbids it the schedule is left to chance.
+void pin_to_cpu(int cpu) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu, &set);
+  (void)pthread_setaffinity_np(pthread_self(), sizeof set, &set);
+}
+
+TEST(ShardGroup, StopFromAnotherThreadNeverRacesTeardown) {
+  // The hosting shape: the owner thread builds the group, runs shard 0 and
+  // destroys the group as soon as run() returns, while another thread
+  // stops it (a destructor, a signal handler). stop() stops shard 0
+  // first, so the owner races ahead into teardown while the stopping
+  // thread still walks the remaining shards; shutdown() must wait it out.
+  // All threads share one CPU and the stopper runs at the lowest priority,
+  // so the owner usually wins that race and frees the group under a
+  // stop() that does not wait.
+  const int cpu = std::max(0, sched_getcpu());
+  for (int round = 0; round < 100; ++round) {
+    std::atomic<ShardGroup*> group{nullptr};
+    std::atomic<int> loops_running{0};
+    std::thread owner([&group, &loops_running, cpu]() {
+      pin_to_cpu(cpu);  // the worker shard thread inherits it
+      auto owned = std::make_unique<ShardGroup>(fast_group_options(2),
+                                                make_partitions(2));
+      owned->start({});
+      owned->start_workers();
+      // Counted from inside both loops: a runtime clears its stop flag
+      // when its loop starts, so only a stop() after that is meaningful.
+      for (std::size_t k = 0; k < owned->shard_count(); ++k) {
+        owned->shard_runtime(k).post_from_any_thread(
+            [&loops_running]() { loops_running.fetch_add(1); });
+      }
+      group.store(owned.get());
+      owned->run();
+      owned->shutdown();
+      owned.reset();
+    });
+    std::thread stopper([&group, &loops_running, cpu]() {
+      pin_to_cpu(cpu);
+      (void)setpriority(PRIO_PROCESS,
+                        static_cast<id_t>(::syscall(SYS_gettid)), 19);
+      while (loops_running.load() < 2) std::this_thread::yield();
+      group.load()->stop();
+    });
+    stopper.join();
+    owner.join();
+  }
 }
 
 TEST(ShardGroup, SingleShardIsTheClassicNodeWiring) {

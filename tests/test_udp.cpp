@@ -385,6 +385,33 @@ TEST(UdpTransport, IgnoresGarbageDatagrams) {
   EXPECT_EQ(target.decode_failures(), 1u);
 }
 
+TEST(UdpTransport, BatchedRecvCountsOnlyDeliveredDatagrams) {
+  runtime::RealTimeRuntime rt(1);
+  UdpTransport server(rt, {});
+  std::size_t handled = 0;
+  server.register_handler(NodeId(7), [&](const Message&) {
+    ++handled;
+    rt.stop();
+  });
+
+  // A seed probe: the server takes it in through recvmmsg and answers it
+  // inside the transport, so no handler sees it and it is not delivered.
+  UdpTransport joiner(rt, {});
+  joiner.set_seed_listener([&](NodeId) { rt.stop(); });
+  joiner.add_seed("127.0.0.1", server.local_port());
+  rt.run_for(5 * kSeconds);
+  ASSERT_TRUE(joiner.knows_peer(NodeId(7)));
+  EXPECT_EQ(server.total_delivered(), 0u);
+  EXPECT_EQ(server.batched_recv(), 0u);
+
+  // A protocol datagram is both delivered and counted as batched.
+  joiner.send(Message{NodeId(1), NodeId(7), 0x0301, Payload(Bytes{1})});
+  rt.run_for(2 * kSeconds);
+  ASSERT_EQ(handled, 1u);
+  EXPECT_EQ(server.total_delivered(), 1u);
+  EXPECT_EQ(server.batched_recv(), 1u);
+}
+
 TEST(UdpTransport, StatsRequestAnsweredBelowProtocolDispatch) {
   // kStatsRequest is handled inside the transport, before protocol
   // dispatch: a scraper needs no node id, no registered handler and no
